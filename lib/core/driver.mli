@@ -52,7 +52,9 @@ val run : Instance.t -> decide:(t -> unit) -> t
     repeating it against an identical state is a no-op.  The reference
     engine literally calls [decide] once per instant; the fast engine
     skips only invocations that contract proves are no-ops.
-    @raise Failure if the algorithm deadlocks (stall with empty pipeline). *)
+    @raise Simulate.Internal_error (component ["driver"]) if the
+    algorithm deadlocks: the cursor's block is missing and no fetch is in
+    flight. *)
 
 (** {1 State queries (valid inside [decide])} *)
 

@@ -127,17 +127,6 @@ module Make (F : Lp_field.FIELD) = struct
   let lt0 x = F.compare x F.zero < 0
   let gt0 x = F.compare x F.zero > 0
 
-  (* One elementary pivot of the product-form inverse.  Applying the eta
-     to a vector x realizes the Gauss-Jordan step that turned the pivot
-     column into the [er]-th unit vector: x.er <- x.er / epiv, then
-     x.i <- x.i - ev_i * x.er for the off-pivot nonzeros. *)
-  type eta = {
-    er : int;  (* pivot row *)
-    ei : int array;  (* off-pivot rows with nonzero entries *)
-    ev : F.t array;  (* matching entries of the incoming column *)
-    epiv : F.t;  (* pivot entry *)
-  }
-
   type ctx = {
     m : int;
     ncols : int;
@@ -148,16 +137,17 @@ module Make (F : Lp_field.FIELD) = struct
     in_basis : bool array;  (* length total *)
     art_sign : F.t array;  (* artificial column of row i is art_sign.(i) * e_i *)
     x_b : F.t array;  (* basic values, aligned with [basis] positions *)
-    mutable etas : eta array;
+    mutable etas : F.t Lp_field.eta array;  (* the product-form inverse *)
     mutable n_etas : int;
     scratch : F.t array;  (* FTRAN workspace, length m *)
-    (* Shared sparsity tracker for FTRAN workspaces: the positions written
-       in the vector currently being worked on (a superset of its
-       nonzeros).  At most one tracked vector is live at a time; it must
-       be cleared with [clear_tracked] before the next tracked load. *)
-    mark : bool array;  (* length m *)
-    nzl : int array;  (* positions written, first n_nz entries *)
-    mutable n_nz : int;
+    (* Shared sparsity tracker for FTRAN workspaces.  At most one tracked
+       vector is live at a time; it must be cleared with [clear_tracked]
+       before the next tracked load. *)
+    tr : Lp_field.tracker;
+    (* [factorize] only: the eta pivoting on each row (-1 if none), and the
+       heap workspace of [Lp_field.ftran_hyper]. *)
+    eta_of_row : int array;  (* length m *)
+    heap : int array;  (* length m *)
   }
 
   let make_ctx (std : sparse_standard) : ctx =
@@ -171,12 +161,12 @@ module Make (F : Lp_field.FIELD) = struct
       in_basis = Array.make (std.s_ncols + m) false;
       art_sign = Array.make m F.one;
       x_b = Array.make m F.zero;
-      etas = Array.make 64 { er = 0; ei = [||]; ev = [||]; epiv = F.one };
+      etas = Array.make 64 { Lp_field.er = 0; ei = [||]; ev = [||]; epiv = F.one };
       n_etas = 0;
       scratch = Array.make m F.zero;
-      mark = Array.make m false;
-      nzl = Array.make m 0;
-      n_nz = 0 }
+      tr = { Lp_field.mark = Array.make m false; nzl = Array.make m 0; n_nz = 0 };
+      eta_of_row = Array.make m (-1);
+      heap = Array.make m 0 }
 
   let push_eta ctx e =
     if ctx.n_etas = Array.length ctx.etas then begin
@@ -188,53 +178,25 @@ module Make (F : Lp_field.FIELD) = struct
     ctx.n_etas <- ctx.n_etas + 1
 
   (* x <- B^-1 x, applying the eta file forward. *)
-  let ftran ctx (x : F.t array) =
-    for t = 0 to ctx.n_etas - 1 do
-      let e = ctx.etas.(t) in
-      let xr = x.(e.er) in
-      if not (F.is_zero xr) then begin
-        let piv = F.div xr e.epiv in
-        x.(e.er) <- piv;
-        let ei = e.ei and ev = e.ev in
-        for q = 0 to Array.length ei - 1 do
-          x.(ei.(q)) <- F.sub x.(ei.(q)) (F.mul ev.(q) piv)
-        done
-      end
-    done
+  let ftran ctx (x : F.t array) = F.ftran ctx.etas ctx.n_etas x
 
   (* y <- B^-T y, applying the eta file in reverse. *)
-  let btran ctx (y : F.t array) =
-    for t = ctx.n_etas - 1 downto 0 do
-      let e = ctx.etas.(t) in
-      let s = ref y.(e.er) in
-      let ei = e.ei and ev = e.ev in
-      for q = 0 to Array.length ei - 1 do
-        let yi = y.(ei.(q)) in
-        if not (F.is_zero yi) then s := F.sub !s (F.mul yi ev.(q))
-      done;
-      y.(e.er) <- F.div !s e.epiv
-    done
+  let btran ctx (y : F.t array) = F.btran ctx.etas ctx.n_etas y
 
   let col_nnz ctx j = if j < ctx.ncols then Array.length (fst ctx.cols.(j)) else 1
 
-  (* Tracked variants: maintain ctx.mark / ctx.nzl as a superset of the
-     nonzero positions of [x], so downstream scans are O(fill) instead of
-     O(m).  Every write to [x] goes through [touch] first; [clear_tracked]
-     re-zeroes exactly the written positions. *)
-  let touch ctx i =
-    if not ctx.mark.(i) then begin
-      ctx.mark.(i) <- true;
-      ctx.nzl.(ctx.n_nz) <- i;
-      ctx.n_nz <- ctx.n_nz + 1
-    end
-
+  (* Tracked vectors: ctx.tr holds a superset of the nonzero positions of
+     [x], so downstream scans are O(fill) instead of O(m).  Positions only
+     become nonzero through tracked writes; [clear_tracked] re-zeroes
+     exactly the written positions. *)
   let clear_tracked ctx (x : F.t array) =
-    for q = 0 to ctx.n_nz - 1 do
-      let i = ctx.nzl.(q) in
+    let tr = ctx.tr in
+    for q = 0 to tr.n_nz - 1 do
+      let i = tr.nzl.(q) in
       x.(i) <- F.zero;
-      ctx.mark.(i) <- false
+      tr.mark.(i) <- false
     done;
-    ctx.n_nz <- 0
+    tr.n_nz <- 0
 
   (* Load column j into the all-zero tracked vector [x]. *)
   let load_col_t ctx (x : F.t array) j =
@@ -242,34 +204,19 @@ module Make (F : Lp_field.FIELD) = struct
       let ri, rv = ctx.cols.(j) in
       for q = 0 to Array.length ri - 1 do
         let i = ri.(q) in
-        touch ctx i;
+        Lp_field.touch ctx.tr i;
         x.(i) <- rv.(q)
       done
     end
     else begin
       let i = j - ctx.ncols in
-      touch ctx i;
+      Lp_field.touch ctx.tr i;
       x.(i) <- ctx.art_sign.(i)
     end
 
-  (* FTRAN on a tracked vector.  Positions only become nonzero through
-     tracked writes, so x.(er) <> 0 implies er is already marked; only the
-     eta's off-pivot rows can be new. *)
-  let ftran_t ctx (x : F.t array) =
-    for t = 0 to ctx.n_etas - 1 do
-      let e = ctx.etas.(t) in
-      let xr = x.(e.er) in
-      if not (F.is_zero xr) then begin
-        let piv = F.div xr e.epiv in
-        x.(e.er) <- piv;
-        let ei = e.ei and ev = e.ev in
-        for q = 0 to Array.length ei - 1 do
-          let i = ei.(q) in
-          touch ctx i;
-          x.(i) <- F.sub x.(i) (F.mul ev.(q) piv)
-        done
-      end
-    done
+  (* FTRAN on a tracked vector.  x.(er) <> 0 implies er is already
+     marked; only an eta's off-pivot rows can be new. *)
+  let ftran_t ctx (x : F.t array) = F.ftran_tracked ctx.etas ctx.n_etas x ctx.tr
 
   (* Rebuild the eta file from the current basis set and recompute x_b.
      Columns are pivoted sparsest-first, preferring exact +-1 pivots (cheap
@@ -278,23 +225,27 @@ module Make (F : Lp_field.FIELD) = struct
   let factorize ctx =
     stats.Simplex.refactorizations <- stats.Simplex.refactorizations + 1;
     ctx.n_etas <- 0;
+    Array.fill ctx.eta_of_row 0 ctx.m (-1);
     let order = Array.init ctx.m (fun i -> i) in
     Array.sort (fun a b -> compare (col_nnz ctx ctx.basis.(a)) (col_nnz ctx ctx.basis.(b))) order;
     let row_done = Array.make ctx.m false in
     let new_basis = Array.make ctx.m (-1) in
+    let tr = ctx.tr in
+    let minus_one = F.neg F.one in
     Array.iter
       (fun p ->
          let j = ctx.basis.(p) in
          load_col_t ctx ctx.scratch j;
-         ftran_t ctx ctx.scratch;
+         (* The etas pushed so far all have distinct pivot rows. *)
+         Lp_field.ftran_hyper F.eta_tracked ctx.etas ctx.eta_of_row ctx.heap ctx.scratch tr;
          let r = ref (-1) in
          let best = ref 0.0 in
-         for q = 0 to ctx.n_nz - 1 do
-           let i = ctx.nzl.(q) in
+         for q = 0 to tr.n_nz - 1 do
+           let i = tr.nzl.(q) in
            if (not row_done.(i)) && not (F.is_zero ctx.scratch.(i)) then begin
              let v = ctx.scratch.(i) in
              let mag =
-               if F.compare v F.one = 0 || F.compare v (F.neg F.one) = 0 then Float.infinity
+               if F.compare v F.one = 0 || F.compare v minus_one = 0 then Float.infinity
                else Float.abs (F.to_float v)
              in
              if !r < 0 || mag > !best then begin
@@ -309,8 +260,8 @@ module Make (F : Lp_field.FIELD) = struct
          end;
          let r = !r in
          let cnt = ref 0 in
-         for q = 0 to ctx.n_nz - 1 do
-           let i = ctx.nzl.(q) in
+         for q = 0 to tr.n_nz - 1 do
+           let i = tr.nzl.(q) in
            if i <> r && not (F.is_zero ctx.scratch.(i)) then incr cnt
          done;
          (* Unit pivots with no off-pivot fill (slack/artificial columns
@@ -322,15 +273,16 @@ module Make (F : Lp_field.FIELD) = struct
            let ei = Array.make !cnt 0 in
            let ev = Array.make !cnt F.zero in
            let w = ref 0 in
-           for q = 0 to ctx.n_nz - 1 do
-             let i = ctx.nzl.(q) in
+           for q = 0 to tr.n_nz - 1 do
+             let i = tr.nzl.(q) in
              if i <> r && not (F.is_zero ctx.scratch.(i)) then begin
                ei.(!w) <- i;
                ev.(!w) <- ctx.scratch.(i);
                incr w
              end
            done;
-           push_eta ctx { er = r; ei; ev; epiv = ctx.scratch.(r) }
+           ctx.eta_of_row.(r) <- ctx.n_etas;
+           push_eta ctx { Lp_field.er = r; ei; ev; epiv = ctx.scratch.(r) }
          end;
          clear_tracked ctx ctx.scratch;
          row_done.(r) <- true;
@@ -424,20 +376,10 @@ module Make (F : Lp_field.FIELD) = struct
     let y = Array.make m F.zero in
     let wcol = Array.make m F.zero in
     let compute_duals () =
-      for i = 0 to m - 1 do
-        y.(i) <- cost.(ctx.basis.(i))
-      done;
+      F.gather y ctx.basis cost;
       btran ctx y
     in
-    let reduced j =
-      let ri, rv = ctx.cols.(j) in
-      let s = ref cost.(j) in
-      for q = 0 to Array.length ri - 1 do
-        let yi = y.(ri.(q)) in
-        if not (F.is_zero yi) then s := F.sub !s (F.mul yi rv.(q))
-      done;
-      !s
-    in
+    let reduced j = F.reduced_cost cost ctx.cols y j in
     (* Dantzig with partial pricing: scan a wrap-around chunk of columns
        from where the last scan stopped, returning the most negative
        reduced cost seen; a full fruitless sweep proves optimality. *)
@@ -493,8 +435,8 @@ module Make (F : Lp_field.FIELD) = struct
     let ratio_test bland =
       let leave = ref (-1) in
       let best_ratio = ref F.zero in
-      for q = 0 to ctx.n_nz - 1 do
-        let i = ctx.nzl.(q) in
+      for q = 0 to ctx.tr.n_nz - 1 do
+        let i = ctx.tr.nzl.(q) in
         let entry = wcol.(i) in
         if gt0 entry then begin
           let ratio = F.div ctx.x_b.(i) entry in
@@ -519,8 +461,8 @@ module Make (F : Lp_field.FIELD) = struct
     let do_pivot leave j =
       let theta = F.div ctx.x_b.(leave) wcol.(leave) in
       let cnt = ref 0 in
-      for q = 0 to ctx.n_nz - 1 do
-        let i = ctx.nzl.(q) in
+      for q = 0 to ctx.tr.n_nz - 1 do
+        let i = ctx.tr.nzl.(q) in
         if i <> leave && not (F.is_zero wcol.(i)) then begin
           incr cnt;
           if not (F.is_zero theta) then
@@ -531,8 +473,8 @@ module Make (F : Lp_field.FIELD) = struct
       let ei = Array.make !cnt 0 in
       let ev = Array.make !cnt F.zero in
       let w = ref 0 in
-      for q = 0 to ctx.n_nz - 1 do
-        let i = ctx.nzl.(q) in
+      for q = 0 to ctx.tr.n_nz - 1 do
+        let i = ctx.tr.nzl.(q) in
         if i <> leave && not (F.is_zero wcol.(i)) then begin
           ei.(!w) <- i;
           ev.(!w) <- wcol.(i);
@@ -718,20 +660,13 @@ module Make (F : Lp_field.FIELD) = struct
               y.(i) <- (if j < std.s_ncols then F.of_rat std.s_cost.(j) else F.zero)
             done;
             btran ctx y;
+            let cost = Array.map F.of_rat std.s_cost in
             let dual_ok = ref true in
             (try
                for j = 0 to std.s_ncols - 1 do
-                 if not ctx.in_basis.(j) then begin
-                   let ri, rv = ctx.cols.(j) in
-                   let s = ref (F.of_rat std.s_cost.(j)) in
-                   for q = 0 to Array.length ri - 1 do
-                     let yi = y.(ri.(q)) in
-                     if not (F.is_zero yi) then s := F.sub !s (F.mul yi rv.(q))
-                   done;
-                   if lt0 !s then begin
-                     dual_ok := false;
-                     raise Exit
-                   end
+                 if (not ctx.in_basis.(j)) && lt0 (F.reduced_cost cost ctx.cols y j) then begin
+                   dual_ok := false;
+                   raise Exit
                  end
                done
              with Exit -> ());

@@ -258,6 +258,18 @@ let test_combination_dominates () =
     done
   done
 
+(* ------------------------------------------------------------------ *)
+(* Driver contract: a decide rule that never fetches leaves a cold cache
+   stalled with nothing in flight, which the driver reports as a typed
+   internal error rather than looping or failing with a bare string. *)
+
+let test_driver_deadlock_is_internal_error () =
+  let inst = Instance.single_disk ~k:2 ~fetch_time:3 ~initial_cache:[] [| 0; 1; 0 |] in
+  match Driver.run inst ~decide:(fun _ -> ()) with
+  | _ -> Alcotest.fail "deadlocked run returned"
+  | exception Simulate.Internal_error { component; _ } ->
+    Alcotest.(check string) "component" "driver" component
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_schedules_valid; prop_delay0_is_aggressive; prop_delay_inf_is_conservative;
@@ -280,4 +292,7 @@ let () =
           Alcotest.test_case "delay_opt_d minimizes" `Quick test_delay_opt_d_minimizes;
           Alcotest.test_case "combination choice" `Quick test_combination_choice;
           Alcotest.test_case "combination dominates" `Quick test_combination_dominates ] );
+      ( "driver",
+        [ Alcotest.test_case "deadlock raises Internal_error" `Quick
+            test_driver_deadlock_is_internal_error ] );
       ("properties", props) ]

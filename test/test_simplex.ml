@@ -352,13 +352,187 @@ let prop_standardize_roundtrip =
        | P.Unbounded, P.Unbounded -> true
        | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Field kernels: the array loops behind [Lp_field.FIELD] that the revised
+   simplex runs its FTRAN/BTRAN, pricing and dual gather through.  Cases
+   use small integers and pivots in {+-1, +-2, +-4}, so every value is a
+   dyadic rational that floats represent exactly and no nonzero comes
+   near the float field's 1e-9 zero tolerance: the float and rational
+   kernels must then agree value for value, and the tracked FTRAN must
+   list the written positions in the same order (that order decides
+   pivot ties in the solver). *)
+
+type kernel_case = {
+  km : int;  (* rows *)
+  ketas : (int * (int * int) list * int) list;  (* pivot row, off-pivot (row, entry), pivot *)
+  kx : (int * int) list;  (* FTRAN input, distinct rows in load order *)
+  ky : (int * int) list;  (* BTRAN input and pricing duals *)
+  kcols : (int * int) list list;  (* sparse columns, ascending rows *)
+  kcost : int list;  (* one cost per column, plus one *)
+  kidx : int list;  (* gather indices into the costs *)
+}
+
+(* [distinct_pivots] gives every eta its own pivot row, as within one
+   basis factorization; otherwise rows may repeat, as after pivots. *)
+let gen_kernel_case ~distinct_pivots =
+  QCheck2.Gen.(
+    let* m = int_range 1 8 in
+    let rows = List.init m Fun.id in
+    let sparse rows range =
+      let* rs = shuffle_l rows in
+      let* k = int_range 0 (List.length rows) in
+      flatten_l
+        (List.map (fun r -> map (fun v -> (r, v)) range) (List.filteri (fun i _ -> i < k) rs))
+    in
+    let entry = int_range (-2) 2 in
+    let gen_eta er =
+      let* ei = sparse (List.filter (fun r -> r <> er) rows) entry in
+      let* piv = oneofl [ 1; -1; 2; -2; 4; -4 ] in
+      return (er, ei, piv)
+    in
+    let* pivot_rows =
+      if distinct_pivots then
+        let* rs = shuffle_l rows in
+        let* k = int_range 0 m in
+        return (List.filteri (fun i _ -> i < k) rs)
+      else list_size (int_range 0 6) (int_range 0 (m - 1))
+    in
+    let* ketas = flatten_l (List.map gen_eta pivot_rows) in
+    let* kx = sparse rows (int_range (-5) 5) in
+    let* ky = sparse rows (int_range (-5) 5) in
+    let* kcols =
+      list_size (int_range 0 5) (map (List.sort compare) (sparse rows entry))
+    in
+    let ncols = List.length kcols in
+    let* kcost = list_size (return (ncols + 1)) (int_range (-5) 5) in
+    let* kidx = list_size (int_range 0 m) (int_range 0 ncols) in
+    return { km = m; ketas; kx; ky; kcols; kcost; kidx })
+
+module Kernels (F : Lp_field.FIELD) = struct
+  let of_int n = F.of_rat (R.of_int n)
+
+  let etas c =
+    Array.of_list
+      (List.map
+         (fun (er, ei, piv) ->
+            { Lp_field.er;
+              ei = Array.of_list (List.map fst ei);
+              ev = Array.of_list (List.map (fun (_, v) -> of_int v) ei);
+              epiv = of_int piv })
+         c.ketas)
+
+  let tracker m = { Lp_field.mark = Array.make m false; nzl = Array.make m 0; n_nz = 0 }
+  let nz_list tr = Array.to_list (Array.sub tr.Lp_field.nzl 0 tr.Lp_field.n_nz)
+
+  let dense m entries =
+    let x = Array.make m F.zero in
+    List.iter (fun (i, v) -> x.(i) <- of_int v) entries;
+    x
+
+  (* A tracked vector loaded entry by entry, as [Revised] loads columns. *)
+  let tracked m entries =
+    let tr = tracker m in
+    let x = Array.make m F.zero in
+    List.iter
+      (fun (i, v) ->
+         Lp_field.touch tr i;
+         x.(i) <- of_int v)
+      entries;
+    (x, tr)
+
+  let floats a = Array.to_list (Array.map F.to_float a)
+
+  (* Every kernel's output on one case, as floats, plus the tracked
+     FTRAN's written positions. *)
+  let run c =
+    let m = c.km and etas = etas c in
+    let n = Array.length etas in
+    let x = dense m c.kx in
+    F.ftran etas n x;
+    let xt, tr = tracked m c.kx in
+    F.ftran_tracked etas n xt tr;
+    let y = dense m c.ky in
+    F.btran etas n y;
+    let cols =
+      Array.of_list
+        (List.map
+           (fun col ->
+              ( Array.of_list (List.map fst col),
+                Array.of_list (List.map (fun (_, v) -> of_int v) col) ))
+           c.kcols)
+    in
+    let cost = Array.of_list (List.map of_int c.kcost) in
+    let duals = dense m c.ky in
+    let reduced = Array.init (Array.length cols) (F.reduced_cost cost cols duals) in
+    let g = Array.make (List.length c.kidx) F.zero in
+    F.gather g (Array.of_list c.kidx) cost;
+    (floats x, floats xt, nz_list tr, floats y, floats reduced, floats g)
+
+  (* The hypersparse FTRAN of a factorization against the full scan. *)
+  let hyper_agrees c =
+    let m = c.km and etas = etas c in
+    let eta_of_row = Array.make m (-1) in
+    Array.iteri (fun t e -> eta_of_row.(e.Lp_field.er) <- t) etas;
+    let x1, tr1 = tracked m c.kx in
+    F.ftran_tracked etas (Array.length etas) x1 tr1;
+    let x2, tr2 = tracked m c.kx in
+    Lp_field.ftran_hyper F.eta_tracked etas eta_of_row (Array.make m 0) x2 tr2;
+    floats x1 = floats x2 && nz_list tr1 = nz_list tr2
+end
+
+module Kf = Kernels (Lp_field.Float_field)
+module Kr = Kernels (Lp_field.Rat_field)
+
+let prop_kernels_float_eq_rat =
+  QCheck2.Test.make ~count:500 ~name:"field kernels: float = rat on exact inputs"
+    (gen_kernel_case ~distinct_pivots:false)
+    (fun c -> Kf.run c = Kr.run c)
+
+let prop_hyper_ftran =
+  QCheck2.Test.make ~count:500 ~name:"hypersparse FTRAN = full tracked FTRAN"
+    (gen_kernel_case ~distinct_pivots:true)
+    (fun c -> Kr.hyper_agrees c && Kf.hyper_agrees c)
+
+(* The float kernels drop exactly the entries [Float_field.is_zero]
+   drops: |x| <= 1e-9. *)
+let test_float_kernels_tolerance () =
+  let module Ff = Lp_field.Float_field in
+  let tiny = 1e-9 and small = 2e-9 in
+  Alcotest.(check bool) "is_zero 1e-9" true (Ff.is_zero tiny);
+  Alcotest.(check bool) "is_zero -1e-9" true (Ff.is_zero (-.tiny));
+  Alcotest.(check bool) "is_zero 2e-9" false (Ff.is_zero small);
+  let exact = Alcotest.(array (float 0.0)) in
+  let e = { Lp_field.er = 0; ei = [| 1 |]; ev = [| 1.0 |]; epiv = 2.0 } in
+  let x = [| tiny; 5.0 |] in
+  Ff.ftran [| e |] 1 x;
+  Alcotest.check exact "ftran skips a 1e-9 pivot-row entry" [| tiny; 5.0 |] x;
+  let x = [| small; 5.0 |] in
+  Ff.ftran [| e |] 1 x;
+  Alcotest.check exact "ftran applies a 2e-9 pivot-row entry"
+    [| small /. 2.0; 5.0 -. (small /. 2.0) |] x;
+  let tr = { Lp_field.mark = [| true; false |]; nzl = [| 0; 0 |]; n_nz = 1 } in
+  let x = [| -.tiny; 0.0 |] in
+  Ff.ftran_tracked [| e |] 1 x tr;
+  Alcotest.check exact "tracked ftran skips it too" [| -.tiny; 0.0 |] x;
+  Alcotest.(check int) "and touches nothing" 1 tr.Lp_field.n_nz;
+  let y = [| 3.0; -.tiny |] in
+  Ff.btran [| { e with epiv = 1.0 } |] 1 y;
+  Alcotest.check exact "btran drops a 1e-9 dual" [| 3.0; -.tiny |] y;
+  let cols = [| ([| 0; 1 |], [| 1.0; 1.0 |]) |] in
+  Alcotest.(check (float 0.0)) "reduced cost drops a 1e-9 dual" 0.5
+    (Ff.reduced_cost [| 1.0 |] cols [| tiny; 0.5 |] 0);
+  Alcotest.(check (float 0.0)) "reduced cost keeps a 2e-9 dual" (1.0 -. small -. 0.5)
+    (Ff.reduced_cost [| 1.0 |] cols [| small; 0.5 |] 0)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_exact_hybrid_agree;
       prop_optimal_feasible;
       prop_float_close;
       prop_revised_matches_dense;
-      prop_standardize_roundtrip ]
+      prop_standardize_roundtrip;
+      prop_kernels_float_eq_rat;
+      prop_hyper_ftran ]
 
 let () =
   Alcotest.run "simplex"
@@ -375,5 +549,7 @@ let () =
           Alcotest.test_case "duplicate coeffs" `Quick test_duplicate_coeffs_merged;
           Alcotest.test_case "check_feasible" `Quick test_check_feasible;
           Alcotest.test_case "revised bland pin" `Quick test_revised_bland_pin;
-          Alcotest.test_case "stats snapshot/reset" `Quick test_stats_snapshot_reset ] );
+          Alcotest.test_case "stats snapshot/reset" `Quick test_stats_snapshot_reset;
+          Alcotest.test_case "float kernels skip |x| <= 1e-9" `Quick
+            test_float_kernels_tolerance ] );
       ("properties", props) ]
