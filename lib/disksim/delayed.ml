@@ -5,50 +5,33 @@
    the fetch completes.  Real storage stacks instead register the request
    on the outstanding fetch - a *delayed hit* (Manohar et al.; Jiang & Ma
    2025) - and the request pays only the fetch's remaining latency while
-   the processor moves on.  This executor implements that semantics on
-   top of the schedule model:
+   the processor moves on.
 
-   - Serving keeps the cursor discipline of the paper: during [t, t+1)
-     the request at the cursor is served if its block is resident
-     (consuming the unit), otherwise the processor stalls - unless the
-     block is in flight and the wait window has room, in which case the
-     request *parks* on the fetch's per-block wait queue and the cursor
-     advances within the same instant, paying zero processor time now
-     and being completed when the fetch lands.
-   - [window] bounds the number of simultaneously parked requests
-     (window = 0 recovers the classic executor exactly).  The bound,
-     together with finite fetch durations (no failures or outages are
-     allowed in the plan), is the progress guarantee: every parked
-     request is released at its supplying fetch's completion, at most
-     the plan's maximum latency after parking, and the in-instant park
-     loop is bounded by the window.
-   - Fetch durations come from the plan's latency distribution (plus
+   This module is an entry point, not a second executor: it checks its
+   arguments and runs {!Simulate.exec} with a parking window, so the
+   timeline, arming, stall attribution and provenance are the classic
+   executor's own.  Semantics:
+
+   - during [t, t+1) the request at the cursor is served if its block is
+     resident (consuming the unit), parked on the fetch's wait queue if
+     the block is in flight and fewer than [window] requests are parked
+     (the cursor advances within the same instant and the request
+     completes when the fetch lands), and a stall unit otherwise;
+     window = 0 recovers the classic executor exactly;
+   - fetch durations come from the plan's latency distribution (plus
      jitter) via {!Faults.draw}; under [Faults.none] every duration is
-     the instance's fixed [F].
-   - Accounting: inline serves consume one unit each, parked serves
-     consume none, so [elapsed = (n - delayed_hits) + stall_time]; the
-     stall attribution partition of {!Simulate} (involuntary vs
-     voluntary per fetch) is preserved, and each park logs its residual
-     wait and queue depth ({!Event_log.Delayed_hit}, streaming
-     histograms).
+     the instance's fixed [F];
+   - [elapsed = (n - delayed_hits) + stall_time], and the classic
+     involuntary/voluntary attribution partition is preserved.
 
-   Degenerate-plan contract (enforced by the [delayed] fuzz oracle):
-   with [window = 0] and a plan whose drawn durations all equal [F]
-   ([Faults.none], or [Const F] with no jitter), the returned base stats
-   are structurally identical to [Simulate.run]'s for every schedule the
-   classic executor accepts.  With [window = 0 && Faults.is_none] the
-   executor also rejects exactly like the classic one (strict mode);
-   under any other plan the strict plan-consistency rejections are
-   relaxed into degraded-mode behaviour - a fetch that is momentarily
-   inapplicable (busy disk, block already resident or in flight, no
-   room yet) waits in the FIFO until the state clears, counted as a
-   deferral in the fault report - because the divergence is the plan's
-   doing, not the schedule's.  Unlike [run_faulty]'s per-disk FIFO,
-   deferred starts
-   drain through a single global FIFO in armed order, so under degenerate
-   timing the event order matches the classic executor's exactly. *)
+   Progress guarantee: plans with failures or outages are refused, so
+   every started fetch completes within the plan's bounded latency and
+   every parked request is released at that completion.  Under any plan
+   other than window 0 with [Faults.none], starts follow the loop's
+   defer rule: a start that cannot apply yet waits in one global FIFO in
+   armed order until it can, counted as a deferral in the report. *)
 
-type wait = {
+type wait = Simulate.wait = {
   req_index : int;  (* request that parked (0-based position in seq) *)
   block : Instance.block;
   disk : int;
@@ -57,7 +40,7 @@ type wait = {
   queue_depth : int;  (* waiters on that fetch after this one joined *)
 }
 
-type stats = {
+type stats = Simulate.outcome = {
   base : Simulate.stats;
   delayed_hits : int;  (* requests served by parking on an in-flight fetch *)
   delayed_wait : int;  (* sum of residual waits over parked requests *)
@@ -68,542 +51,18 @@ type stats = {
 
 let m_runs = Telemetry.counter "delayed.runs"
 let m_rejected = Telemetry.counter "delayed.rejected"
-let m_hits = Telemetry.counter "delayed.hits"
-let m_wait_units = Telemetry.counter "delayed.wait_units"
-let m_residual_hist = Telemetry.histogram "delayed.residual_wait"
-let m_depth_hist = Telemetry.histogram "delayed.queue_depth"
 
 let run ?(extra_slots = 0) ?(record_events = false) ?(attribution = false) ?(window = 0)
     ?(faults = Faults.none) (inst : Instance.t) (schedule : Fetch_op.schedule) :
   (stats, Simulate.error) Result.t =
-  if window < 0 then invalid_arg "Delayed.run: window must be >= 0";
+  if window < 0 then
+    raise (Faults.Invalid_plan { field = "window"; reason = Printf.sprintf "must be >= 0 (got %d)" window });
   if faults.Faults.fail_prob > 0.0 || faults.Faults.outages <> [] then
     raise
       (Faults.Invalid_plan
          { field = "faults";
            reason = "delayed-hit executor takes latency/jitter plans only (no failures, no outages)" });
-  let n = Instance.length inst in
-  let capacity = inst.Instance.cache_size + extra_slots in
-  let num_blocks = Instance.num_blocks inst in
-  let num_disks = inst.Instance.num_disks in
-  let fetch_time = inst.Instance.fetch_time in
-  let faulty = not (Faults.is_none faults) in
-  (* Strict mode reproduces the classic executor's rejections bit for
-     bit; any parking or stochastic duration relaxes them (the schedule
-     was planned for the classic semantics). *)
-  let strict = (not faulty) && window = 0 in
-  let attribution = attribution || faulty || Telemetry.enabled () in
-  let exception Reject of Simulate.error in
-  let validate f =
-    match Fetch_op.validate inst f with
-    | Ok () -> ()
-    | Error reason -> raise (Reject { reason; at_time = 0 })
-  in
-  let rejectf at_time fmt =
-    Printf.ksprintf (fun reason -> raise (Reject { reason; at_time })) fmt
-  in
-  let result =
-    try
-      List.iter validate schedule;
-      let ops = Array.of_list schedule in
-      let nops = Array.length ops in
-      (* Cache / disk state (mirrors Simulate.exec). *)
-      let in_cache = Array.make num_blocks false in
-      List.iter (fun b -> in_cache.(b) <- true) inst.Instance.initial_cache;
-      let cache_count = ref (List.length inst.Instance.initial_cache) in
-      let in_flight = Array.make num_disks None in
-      (* in_flight.(d) = Some (op_index, end_time) *)
-      let in_flight_count = ref 0 in
-      let block_in_flight = Array.make num_blocks (-1) in
-      (* block_in_flight.(b) = op index fetching b, or -1 *)
-      let disk_busy = Array.make num_disks 0 in
-      let reserved = ref 0 in
-      let involuntary = Array.make (if attribution then nops else 0) 0 in
-      let voluntary = Array.make (if attribution then nops else 0) 0 in
-      (* Per-op start bookkeeping for fault-stall accounting. *)
-      let cur_slow = Array.make (max nops 1) false in
-      let cur_start = Array.make (max nops 1) 0 in
-      let was_deferred = Array.make (max nops 1) false in
-      (* Per-op wait queues: parked request indexes, newest first. *)
-      let waiters = Array.make (max nops 1) [] in
-      let waiter_count = Array.make (max nops 1) 0 in
-      let parked_count = ref 0 in
-      let delayed_hits = ref 0 in
-      let delayed_wait = ref 0 in
-      let max_depth = ref 0 in
-      let waits = ref [] in
-      (* Fault report accumulators (jitter / deferrals only; this
-         executor admits no failures or outages, and defers rather than
-         drops). *)
-      let f_jitter = ref 0 and f_deferred = ref 0 in
-      let f_skipped_evict = ref 0 and f_stall = ref 0 in
-      let fevents = ref [] in
-      let fevent e = fevents := e :: !fevents in
-      let by_cursor = Array.make (n + 1) [] in
-      Array.iteri
-        (fun i f -> by_cursor.(f.Fetch_op.at_cursor) <- i :: by_cursor.(f.Fetch_op.at_cursor))
-        ops;
-      let compare_pending i1 i2 =
-        match Fetch_op.compare_start ops.(i1) ops.(i2) with 0 -> Int.compare i1 i2 | c -> c
-      in
-      for c = 0 to n do
-        by_cursor.(c) <- List.sort compare_pending by_cursor.(c)
-      done;
-      let armed = ref [] in
-      let rec merge_armed l1 l2 =
-        match (l1, l2) with
-        | [], l | l, [] -> l
-        | (((t1, i1) as h1) :: r1), (((t2, i2) as h2) :: r2) ->
-          let c = match Int.compare t1 t2 with 0 -> compare_pending i1 i2 | x -> x in
-          if c <= 0 then h1 :: merge_armed r1 l2 else h2 :: merge_armed l1 r2
-      in
-      let rec start_times time = function
-        | [] -> []
-        | i :: tl -> (time + ops.(i).Fetch_op.delay, i) :: start_times time tl
-      in
-      let arm time c =
-        match by_cursor.(c) with
-        | [] -> ()
-        | pending ->
-          armed := merge_armed !armed (start_times time pending);
-          by_cursor.(c) <- []
-      in
-      (* Deferred starts: ops whose turn came while their disk was busy,
-         kept in one global FIFO (armed order) so degenerate timing
-         replays the classic start order exactly. *)
-      let dueq = Queue.create () in
-      let events = ref [] in
-      let push e = if record_events then events := e :: !events in
-      let occupancy = ref [] in
-      let last_occ = ref (-1) in
-      let sample_occ t =
-        if attribution then begin
-          let occ = !cache_count + !in_flight_count in
-          if occ <> !last_occ then begin
-            occupancy := (t, occ) :: !occupancy;
-            last_occ := occ
-          end
-        end
-      in
-      let stall = ref 0 in
-      let started = ref 0 in
-      let completed = ref 0 in
-      let peak = ref !cache_count in
-      let cursor = ref 0 in
-      let t = ref 0 in
-      let prov_stall_from = ref (-1) in
-      let prov_issue (f : Fetch_op.t) =
-        if Event_log.enabled () then
-          Event_log.record
-            (Event_log.Fetch_issue
-               { time = !t; cursor = !cursor; block = f.Fetch_op.block; disk = f.Fetch_op.disk;
-                 evict = f.Fetch_op.evict })
-      in
-      let prov_complete ~disk (f : Fetch_op.t) =
-        if Event_log.enabled () then
-          Event_log.record
-            (Event_log.Fetch_complete { time = !t; block = f.Fetch_op.block; disk })
-      in
-      let prov_serve b =
-        if !prov_stall_from >= 0 then begin
-          Event_log.record
-            (Event_log.Stall_interval
-               { from_time = !prov_stall_from; until_time = !t; cursor = !cursor; block = b });
-          prov_stall_from := -1
-        end
-      in
-      let prov_stall () =
-        if Event_log.enabled () && !prov_stall_from < 0 then prov_stall_from := !t
-      in
-      arm 0 0;
-      sample_occ 0;
-      (* Deadlock guard: every op costs at most one worst-case attempt
-         plus its delay; parking adds no time. *)
-      let horizon =
-        let worst = Faults.max_latency faults ~fetch_time + faults.Faults.max_jitter in
-        n + List.fold_left (fun acc f -> acc + worst + f.Fetch_op.delay) 0 schedule + 16
-      in
-      (* Start op [i] on its idle disk.  In degraded mode the caller
-         ([start_phase]) guarantees applicability - block not resident or
-         in flight, room available (directly or via a resident victim) -
-         so nothing is ever dropped: inapplicable ops wait in the FIFO
-         for the state to clear.  Returns false iff rejected (strict). *)
-      let do_start i =
-        let f = ops.(i) in
-        let open Fetch_op in
-        if not strict then begin
-          (match f.evict with
-           | Some b when in_cache.(b) ->
-             in_cache.(b) <- false;
-             decr cache_count
-           | Some _ -> incr f_skipped_evict
-           | None -> ());
-          let d =
-            Faults.draw faults ~fetch_time ~disk:f.disk ~block:f.block ~attempt:1 ~start:!t
-          in
-          cur_slow.(i) <- d.Faults.duration > fetch_time;
-          cur_start.(i) <- !t;
-          if d.Faults.duration > fetch_time then begin
-            f_jitter := !f_jitter + (d.Faults.duration - fetch_time);
-            fevent
-              (Faults.Slow
-                 { time = !t; disk = f.disk; block = f.block;
-                   extra = d.Faults.duration - fetch_time })
-          end;
-          in_flight.(f.disk) <- Some (i, !t + d.Faults.duration);
-          incr in_flight_count;
-          incr reserved;
-          block_in_flight.(f.block) <- i;
-          disk_busy.(f.disk) <- disk_busy.(f.disk) + d.Faults.duration;
-          assert (!cache_count + !reserved <= capacity);
-          incr started;
-          push (Simulate.Fetch_start { time = !t; fetch = f });
-          prov_issue f;
-          true
-        end
-        else begin
-          (* Strict: the classic executor's checks, same wording, same
-             order. *)
-          (match in_flight.(f.disk) with
-           | Some _ -> rejectf !t "disk %d already busy when fetch of b%d starts" f.disk f.block
-           | None -> ());
-          if in_cache.(f.block) then rejectf !t "fetch of b%d but it is already in cache" f.block;
-          if block_in_flight.(f.block) >= 0 then
-            rejectf !t "fetch of b%d already in flight" f.block;
-          (match f.evict with
-           | Some b ->
-             if block_in_flight.(b) >= 0 then
-               rejectf !t "eviction of b%d during its own in-flight fetch window" b;
-             if not in_cache.(b) then rejectf !t "eviction of b%d which is not in cache" b;
-             in_cache.(b) <- false;
-             decr cache_count
-           | None -> ());
-          if !cache_count + !reserved + 1 > capacity then
-            rejectf !t "cache capacity %d exceeded" capacity;
-          in_flight.(f.disk) <- Some (i, !t + fetch_time);
-          incr in_flight_count;
-          incr reserved;
-          block_in_flight.(f.block) <- i;
-          disk_busy.(f.disk) <- disk_busy.(f.disk) + fetch_time;
-          incr started;
-          push (Simulate.Fetch_start { time = !t; fetch = f });
-          prov_issue f;
-          true
-        end
-      in
-      (* A deferred op can start when its disk is idle, its block is not
-         already resident or in flight, and its planned eviction is
-         performable: a resident victim is evicted (net occupancy
-         unchanged), a no-evict fetch needs a free slot.  Starting with
-         the victim absent would skip the eviction and leak a cache slot
-         for good, wedging later fetches - the victim, if absent, is
-         still in flight or deferred and will land, so waiting is always
-         productive. *)
-      let startable i =
-        let f = ops.(i) in
-        let evict_ready =
-          match f.Fetch_op.evict with
-          | Some v -> in_cache.(v)
-          | None -> !cache_count + !reserved + 1 <= capacity
-        in
-        in_flight.(f.Fetch_op.disk) = None
-        && (not in_cache.(f.Fetch_op.block))
-        && block_in_flight.(f.Fetch_op.block) < 0
-        && evict_ready
-      in
-      (* Phase 2 of an instant: arm-and-start.  Callable repeatedly
-         within the instant (parking advances the cursor, which can arm
-         zero-delay ops due right now). *)
-      let start_phase () =
-        if strict then begin
-          let rec start_due () =
-            match !armed with
-            | (start_time, i) :: rest when start_time = !t ->
-              armed := rest;
-              ignore (do_start i : bool);
-              start_due ()
-            | (start_time, i) :: _ when start_time < !t ->
-              (* Armed ops drain at every instant in strict mode; an overdue
-                 entry means the clock advanced past a scheduled start - an
-                 executor bug, not a property of the plan. *)
-              let f = ops.(i) in
-              Simulate.internal_error ~component:"delayed"
-                "armed fetch of b%d on disk %d overdue: start time %d < clock %d"
-                f.Fetch_op.block f.Fetch_op.disk start_time !t
-            | _ -> ()
-          in
-          start_due ()
-        end
-        else begin
-          let rec move_armed () =
-            match !armed with
-            | (start_time, i) :: rest when start_time <= !t ->
-              armed := rest;
-              Queue.add i dueq;
-              move_armed ()
-            | _ -> ()
-          in
-          move_armed ();
-          (* One pass over the global FIFO: start what fits, keep the
-             rest (busy disk, or the block still resident / in flight
-             from an earlier elongated fetch) in order. *)
-          let m = Queue.length dueq in
-          for _ = 1 to m do
-            let i = Queue.take dueq in
-            if startable i then ignore (do_start i : bool)
-            else begin
-              if not was_deferred.(i) then begin
-                was_deferred.(i) <- true;
-                incr f_deferred
-              end;
-              Queue.add i dueq
-            end
-          done
-        end
-      in
-      let dueq_find b =
-        let found = ref None in
-        Queue.iter (fun i -> if !found = None && ops.(i).Fetch_op.block = b then found := Some i) dueq;
-        !found
-      in
-      (* One stall unit while waiting (cursor head missing, or tail drain
-         of parked requests): charge the attribution partition exactly as
-         the classic executor does. *)
-      let charge_stall b =
-        if attribution then begin
-          let charged = ref false in
-          if b >= 0 then begin
-            (match block_in_flight.(b) with
-             | i when i >= 0 ->
-               involuntary.(i) <- involuntary.(i) + 1;
-               if faulty
-                  && (was_deferred.(i) || (cur_slow.(i) && !t >= cur_start.(i) + fetch_time))
-               then incr f_stall;
-               charged := true
-             | _ -> ());
-            if not !charged then (
-              match List.find_opt (fun (_, i) -> ops.(i).Fetch_op.block = b) !armed with
-              | Some (_, i) ->
-                voluntary.(i) <- voluntary.(i) + 1;
-                charged := true
-              | None -> ());
-            if not !charged then (
-              match dueq_find b with
-              | Some i ->
-                voluntary.(i) <- voluntary.(i) + 1;
-                incr f_stall;
-                charged := true
-              | None -> ())
-          end;
-          if not !charged then begin
-            (* Tail drain, or a doomed-to-reject path: charge the
-               earliest-completing in-flight fetch, else the earliest
-               armed/deferred one, keeping the partition total exact. *)
-            let best = ref None in
-            for d = 0 to num_disks - 1 do
-              match (in_flight.(d), !best) with
-              | Some (i, e), Some (_, e') when e < e' -> best := Some (i, e)
-              | Some (i, e), None -> best := Some (i, e)
-              | _ -> ()
-            done;
-            match (!best, !armed) with
-            | Some (i, _), _ ->
-              involuntary.(i) <- involuntary.(i) + 1;
-              if faulty && (was_deferred.(i) || (cur_slow.(i) && !t >= cur_start.(i) + fetch_time))
-              then incr f_stall
-            | None, (_, i) :: _ -> voluntary.(i) <- voluntary.(i) + 1
-            | None, [] ->
-              if not (Queue.is_empty dueq) then begin
-                let i = Queue.peek dueq in
-                voluntary.(i) <- voluntary.(i) + 1;
-                incr f_stall
-              end
-              else
-                (* A stall unit with nothing in flight, armed, or queued
-                   means the plan ran dry while requests remain - the
-                   executor should have rejected before charging. *)
-                Simulate.internal_error ~component:"delayed"
-                  "stall at time %d awaiting b%d with no fetch in flight, armed, or queued"
-                  !t b
-          end
-        end
-      in
-      (* 3. Serve / park / stall during [t, t+1).  Parking is
-         instantaneous and may enable further starts and serves within
-         the same instant; the loop advances the cursor each round, so
-         it terminates. *)
-      let rec serve_phase () =
-        if !cursor >= n then begin
-          (* Tail drain: all requests issued, parked ones waiting on
-             in-flight fetches.  The processor idles - a stall unit. *)
-          charge_stall (-1);
-          prov_stall ();
-          push (Simulate.Stall { time = !t });
-          incr stall;
-          incr t
-        end
-        else begin
-          let b = inst.Instance.seq.(!cursor) in
-          if in_cache.(b) then begin
-            prov_serve b;
-            push (Simulate.Serve { time = !t; index = !cursor; block = b });
-            incr cursor;
-            incr t;
-            arm !t !cursor
-          end
-          else if block_in_flight.(b) >= 0 && !parked_count < window then begin
-            (* Delayed hit: park on the in-flight fetch and move on. *)
-            let i = block_in_flight.(b) in
-            let end_time = match in_flight.(ops.(i).Fetch_op.disk) with
-              | Some (_, e) -> e
-              | None -> assert false
-            in
-            let depth = waiter_count.(i) + 1 in
-            let residual = end_time - !t in
-            waiters.(i) <- !cursor :: waiters.(i);
-            waiter_count.(i) <- depth;
-            incr parked_count;
-            incr delayed_hits;
-            delayed_wait := !delayed_wait + residual;
-            if depth > !max_depth then max_depth := depth;
-            waits :=
-              { req_index = !cursor; block = b; disk = ops.(i).Fetch_op.disk;
-                parked_at = !t; ready_at = end_time; queue_depth = depth }
-              :: !waits;
-            prov_serve b;
-            if Event_log.enabled () then
-              Event_log.record
-                (Event_log.Delayed_hit
-                   { time = !t; cursor = !cursor; block = b; disk = ops.(i).Fetch_op.disk;
-                     queue_depth = depth; residual });
-            if Telemetry.enabled () then begin
-              Telemetry.incr m_hits;
-              Telemetry.add m_wait_units residual;
-              Telemetry.observe_int m_residual_hist residual;
-              Telemetry.observe_int m_depth_hist depth
-            end;
-            incr cursor;
-            arm !t !cursor;
-            start_phase ();
-            if !cache_count + !in_flight_count > !peak then
-              peak := !cache_count + !in_flight_count;
-            sample_occ !t;
-            serve_phase ()
-          end
-          else begin
-            if !in_flight_count = 0 && !armed = [] then begin
-              if Queue.is_empty dueq then
-                rejectf !t "request r%d (b%d) missing with no fetch in flight or scheduled"
-                  (!cursor + 1) b;
-              (* Deferred ops are the only hope left; the state can no
-                 longer change on its own (no completions coming, no
-                 future arms), so if none of them can start now, none
-                 ever will: wedged. *)
-              let live = ref false in
-              Queue.iter (fun i -> if (not !live) && startable i then live := true) dueq;
-              if not !live then
-                rejectf !t "request r%d (b%d) missing and unrecoverable (deferred fetches wedged)"
-                  (!cursor + 1) b
-            end;
-            charge_stall b;
-            prov_stall ();
-            push (Simulate.Stall { time = !t });
-            incr stall;
-            incr t
-          end
-        end
-      in
-      while !cursor < n || !parked_count > 0 do
-        if !t > horizon then rejectf !t "simulation exceeded time horizon (deadlock)";
-        (* 1. Completions at instant t; each completion releases its
-           parked waiters (they consume no processor time). *)
-        for d = 0 to num_disks - 1 do
-          match in_flight.(d) with
-          | Some (i, end_time) when end_time = !t ->
-            let f = ops.(i) in
-            in_flight.(d) <- None;
-            decr in_flight_count;
-            decr reserved;
-            block_in_flight.(f.Fetch_op.block) <- -1;
-            if not in_cache.(f.Fetch_op.block) then begin
-              in_cache.(f.Fetch_op.block) <- true;
-              incr cache_count
-            end;
-            incr completed;
-            push (Simulate.Fetch_complete { time = !t; fetch = f });
-            prov_complete ~disk:d f;
-            (match waiters.(i) with
-             | [] -> ()
-             | ws ->
-               List.iter
-                 (fun req ->
-                    push (Simulate.Serve { time = !t; index = req; block = f.Fetch_op.block }))
-                 (List.rev ws);
-               parked_count := !parked_count - waiter_count.(i);
-               waiters.(i) <- [];
-               waiter_count.(i) <- 0)
-          | _ -> ()
-        done;
-        (* 2. Starts at instant t. *)
-        start_phase ();
-        if !cache_count + !in_flight_count > !peak then peak := !cache_count + !in_flight_count;
-        sample_occ !t;
-        (* Completions at this instant may have released the last parked
-           request; the run is then over and no unit elapses. *)
-        if !cursor < n || !parked_count > 0 then serve_phase ()
-      done;
-      sample_occ !t;
-      (* Refund busy time in-flight fetches would spend past the end. *)
-      Array.iteri
-        (fun d fl ->
-           match fl with
-           | Some (_, end_time) when end_time > !t ->
-             disk_busy.(d) <- disk_busy.(d) - (end_time - !t)
-           | _ -> ())
-        in_flight;
-      let stall_by_fetch =
-        if attribution then
-          Array.to_list
-            (Array.mapi
-               (fun i f ->
-                  { Simulate.fetch = f;
-                    fetch_index = i;
-                    involuntary_stall = involuntary.(i);
-                    voluntary_stall = voluntary.(i) })
-               ops)
-        else []
-      in
-      let report =
-        if not faulty then Faults.empty_report
-        else
-          { Faults.empty_report with
-            Faults.injected_jitter = !f_jitter;
-            deferred_starts = !f_deferred;
-            skipped_evictions = !f_skipped_evict;
-            fault_stall = !f_stall;
-            events = List.rev !fevents }
-      in
-      Ok
-        { base =
-            { Simulate.stall_time = !stall;
-              elapsed_time = !t;
-              fetches_started = !started;
-              fetches_completed = !completed;
-              peak_occupancy = !peak;
-              events = List.rev !events;
-              disk_busy;
-              stall_by_fetch;
-              occupancy = List.rev !occupancy };
-          delayed_hits = !delayed_hits;
-          delayed_wait = !delayed_wait;
-          max_queue_depth = !max_depth;
-          waits = List.rev !waits;
-          report }
-    with Reject e -> Error e
-  in
-  if Telemetry.enabled () then begin
-    match result with
-    | Ok _ -> Telemetry.incr m_runs
-    | Error _ -> Telemetry.incr m_rejected
-  end;
+  let result = Simulate.exec ~window ~extra_slots ~record_events ~attribution ~faults inst schedule in
+  if Telemetry.enabled () then
+    Telemetry.incr (match result with Ok _ -> m_runs | Error _ -> m_rejected);
   result

@@ -20,16 +20,22 @@
     duration past its park instant, and the in-instant park loop is
     bounded by the cursor.
 
+    One loop: [run] checks its arguments and runs {!Simulate.exec}
+    with a parking window, so the timeline, stall attribution and
+    provenance are the classic executor's own.
+
     Degenerate-plan contract (fuzzed by the [delayed] oracle class):
     with [window = 0] and degenerate timing ([Faults.none], or a
     [Const F] plan without jitter), [base] is structurally identical to
     [Simulate.run]'s stats for every schedule the classic executor
     accepts; with [window = 0] and [Faults.none] rejections are
     identical too.  Under any other plan the strict plan-consistency
-    rejections relax into degraded-mode drop/defer behaviour, counted in
-    [report]. *)
+    rejections relax into degraded mode: a start that cannot apply yet
+    (busy disk, block resident or in flight, victim still absent) waits
+    in one global FIFO in armed order until it can, counted as a
+    deferral in [report]. *)
 
-type wait = {
+type wait = Simulate.wait = {
   req_index : int;  (** request that parked (0-based position in seq) *)
   block : Instance.block;
   disk : int;
@@ -38,7 +44,7 @@ type wait = {
   queue_depth : int;  (** waiters on that fetch after this one joined *)
 }
 
-type stats = {
+type stats = Simulate.outcome = {
   base : Simulate.stats;  (** classic stats; [events] includes parked
                               serves at their completion instants *)
   delayed_hits : int;  (** requests served by parking *)
@@ -57,5 +63,5 @@ val run :
     [attribution = false] (forced on under a non-empty plan or when
     telemetry is enabled, like {!Simulate.run}), [window = 0] (classic
     behaviour), [faults = Faults.none].
-    @raise Invalid_argument on [window < 0].
-    @raise Faults.Invalid_plan when the plan has failures or outages. *)
+    @raise Faults.Invalid_plan on [window < 0] ([field = "window"]) and
+    when the plan has failures or outages ([field = "faults"]). *)

@@ -31,17 +31,32 @@
    stall-time attribution and it is the lens the ROADMAP's latency work
    needs.
 
-   [run_faulty] executes the same schedule under a {!Faults} plan: fetch
-   attempts may be slowed (duration F + d), fail transiently (retried
-   under the plan's backoff policy, bounded attempts) or be interrupted
-   by timed whole-disk outages.  Under a non-empty plan the strict
-   plan-consistency rejections are relaxed into degraded-mode behaviour -
-   a start on a busy or down disk waits its turn instead of rejecting,
-   an inapplicable fetch (block already resident, eviction victim gone
-   and no free slot) is dropped and counted - because the divergence is
-   the fault's doing, not the schedule's.  With [Faults.none] the code
-   path is the fault-free one and the returned stats are identical to
-   [run]'s. *)
+   One loop, three entry points.  [exec] is the only timeline loop;
+   [run], [run_faulty] and {!Delayed.run} differ only in what they hand
+   it.  [run_faulty] adds a {!Faults} plan: fetch attempts may be slowed
+   (duration F + d), fail transiently (retried under the plan's backoff
+   policy, bounded attempts) or be interrupted by timed whole-disk
+   outages.  {!Delayed.run} adds a parking window - a request whose block
+   is in flight parks on the fetch instead of stalling (a delayed hit) -
+   and takes latency-only plans.  With [Faults.none] and no parking the
+   executed path is the strict one and the stats are [run]'s.
+
+   Degraded mode.  Under a non-empty plan, or with parking, the strict
+   plan-consistency rejections are relaxed - a start on a busy or down
+   disk waits its turn instead of rejecting - because the divergence is
+   the plan's doing, not the schedule's.  A start that has become
+   inapplicable (block already resident or in flight, eviction victim
+   gone) follows one of two rules, chosen by the entry point:
+   - [run_faulty] keeps one FIFO per disk and drops such a start,
+     counted.  Under failures this is necessary: an abandoned fetch's
+     block never lands, so a start waiting for it to become evictable
+     would wait forever.
+   - {!Delayed.run} keeps one global FIFO in armed order and defers such
+     a start until it applies.  Under latency-only plans every fetch
+     lands, so waiting is always productive, and it is necessary:
+     starting while the victim is still absent would skip the eviction
+     and leak a cache slot for good.  The global order also makes
+     degenerate timing replay the strict start order exactly. *)
 
 type event =
   | Serve of { time : int; index : int; block : Instance.block }
@@ -72,6 +87,24 @@ type stats = {
 type error = {
   reason : string;
   at_time : int;
+}
+
+type wait = {
+  req_index : int;
+  block : Instance.block;
+  disk : int;
+  parked_at : int;
+  ready_at : int;
+  queue_depth : int;
+}
+
+type outcome = {
+  base : stats;
+  delayed_hits : int;
+  delayed_wait : int;
+  max_queue_depth : int;
+  waits : wait list;
+  report : Faults.report;
 }
 
 let pp_event fmt = function
@@ -131,6 +164,12 @@ let m_f_interrupts = Telemetry.counter "faults.outage_interrupts"
 let m_f_dropped = Telemetry.counter "faults.dropped_fetches"
 let m_f_stall = Telemetry.counter "faults.stall_units"
 
+(* Delayed-hit counters, bumped at each park. *)
+let m_hits = Telemetry.counter "delayed.hits"
+let m_wait_units = Telemetry.counter "delayed.wait_units"
+let m_residual_hist = Telemetry.histogram "delayed.residual_wait"
+let m_depth_hist = Telemetry.histogram "delayed.queue_depth"
+
 let record_fault_telemetry (r : Faults.report) =
   if Telemetry.enabled () then begin
     Telemetry.incr m_faulty_runs;
@@ -144,600 +183,702 @@ let record_fault_telemetry (r : Faults.report) =
     Telemetry.add m_f_stall r.Faults.fault_stall
   end
 
+let record_run_telemetry = function
+  | Ok s ->
+    if Telemetry.enabled () then begin
+      Telemetry.incr m_runs;
+      Telemetry.add m_stall_units s.stall_time;
+      Telemetry.add m_fetches s.fetches_completed;
+      List.iter
+        (fun a ->
+           Telemetry.add m_stall_involuntary a.involuntary_stall;
+           Telemetry.add m_stall_voluntary a.voluntary_stall)
+        s.stall_by_fetch;
+      Telemetry.observe_int m_stall_hist s.stall_time;
+      Telemetry.observe_int m_peak_hist s.peak_occupancy;
+      if s.elapsed_time > 0 then
+        Array.iter
+          (fun busy -> Telemetry.observe m_util_hist (float_of_int busy /. float_of_int s.elapsed_time))
+          s.disk_busy
+    end
+  | Error _ -> if Telemetry.enabled () then Telemetry.incr m_rejected
+
 (* [extra_slots] extends capacity beyond k (the paper's parallel algorithm
    is allowed 2(D-1) extra locations).  [record_events] controls whether the
    full event trace is accumulated (examples want it; sweeps do not).
    [attribution] additionally charges every stall unit to a fetch and
    samples the occupancy timeline; it is forced on while the telemetry
    registry is enabled so metrics dumps always carry the attribution.
-
-   [exec] is the single loop behind both [run] and [run_faulty]: every
-   fault-mode behaviour is gated on [faulty], so with [Faults.none] the
-   executed path is exactly the fault-free executor. *)
-let exec ~extra_slots ~record_events ~attribution ~(faults : Faults.t) (inst : Instance.t)
-    (schedule : Fetch_op.schedule) : (stats * Faults.report, error) Result.t =
+   [window] is passed by the delayed-hit entry point only: it bounds the
+   parked requests and selects the defer start rule. *)
+let exec ?window ~extra_slots ~record_events ~attribution ~(faults : Faults.t)
+    (inst : Instance.t) (schedule : Fetch_op.schedule) : (outcome, error) Result.t =
   let n = Instance.length inst in
+  let seq = inst.Instance.seq in
   let capacity = inst.Instance.cache_size + extra_slots in
   let num_blocks = Instance.num_blocks inst in
   let num_disks = inst.Instance.num_disks in
   let fetch_time = inst.Instance.fetch_time in
   let faulty = not (Faults.is_none faults) in
+  let defer = Option.is_some window in
+  let window = Option.value window ~default:0 in
+  let strict = (not faulty) && window = 0 in
+  (* Failures, retries and outages exist only under [run_faulty]. *)
+  let retrying = faulty && not defer in
   let attribution = attribution || faulty || Telemetry.enabled () in
   (* Static validation of fetch operations (shared wording across
      executors lives in [Fetch_op.validate]). *)
   let validate f =
     match Fetch_op.validate inst f with Ok () -> () | Error reason -> rejectf 0 "%s" reason
   in
-  let result =
-    try
-      List.iter validate schedule;
-      (* Fetch operations are tracked by their index in the submitted
-         schedule so stall charges can name the exact operation. *)
-      let ops = Array.of_list schedule in
-      let nops = Array.length ops in
-      (* State. *)
-      let in_cache = Array.make num_blocks false in
-      List.iter (fun b -> in_cache.(b) <- true) inst.Instance.initial_cache;
-      let cache_count = ref (List.length inst.Instance.initial_cache) in
-      let in_flight = Array.make num_disks None in
-      (* in_flight.(d) = Some (op_index, end_time) *)
-      let in_flight_count = ref 0 in
-      let block_in_flight = Array.make num_blocks false in
-      let disk_busy = Array.make num_disks 0 in
-      (* Cache-slot reservations: a fetch holds its slot from first start
-         until final success or abandonment, across retries.  Fault-free,
-         this equals [in_flight_count] at every capacity check. *)
-      let reserved = ref 0 in
-      (* Stall charges, indexed like [ops]. *)
-      let involuntary = Array.make (if attribution then nops else 0) 0 in
-      let voluntary = Array.make (if attribution then nops else 0) 0 in
-      (* Fault-mode per-op state (empty arrays when fault-free). *)
-      let fsz = if faulty then nops else 0 in
-      let attempts = Array.make fsz 0 in
-      let cur_fail = Array.make fsz false in
-      let cur_jitter = Array.make fsz false in
-      let cur_start = Array.make fsz 0 in
-      let was_deferred = Array.make fsz false in
-      (* Outage-interrupted ops relaunch with the SAME attempt number (an
-         interrupt does not consume an attempt) and keep their reservation
-         and eviction from the original start. *)
-      let redraw = Array.make fsz false in
-      (* Ready-to-start ops (first attempts and due retries) waiting for
-         their disk, FIFO per disk. *)
-      let waiting = Array.init (if faulty then num_disks else 0) (fun _ -> Queue.create ()) in
-      let waiting_count = ref 0 in
-      (* Failed attempts in backoff: (ready_time, op_index), sorted. *)
-      let retryq = ref [] in
-      let retryq_add ready i =
-        let rec ins = function
-          | [] -> [ (ready, i) ]
-          | ((r', i') as hd) :: tl ->
-            if (r', i') <= (ready, i) then hd :: ins tl else (ready, i) :: hd :: tl
-        in
-        retryq := ins !retryq
-      in
-      (* Fault report accumulators. *)
-      let f_jitter = ref 0 and f_failures = ref 0 and f_retries = ref 0 in
-      let f_abandoned = ref 0 and f_deferred = ref 0 and f_interrupts = ref 0 in
-      let f_dropped = ref 0 and f_skipped_evict = ref 0 and f_stall = ref 0 in
-      let fevents = ref [] in
-      let fevent e = fevents := e :: !fevents in
-      (* Pending fetches grouped by anchor cursor, held as bare op indexes
-         (immediate ints) so the bookkeeping allocates exactly what the
-         un-instrumented executor did; [ops.(i)] recovers the fetch. *)
-      let by_cursor = Array.make (n + 1) [] in
-      Array.iteri
-        (fun i f -> by_cursor.(f.Fetch_op.at_cursor) <- i :: by_cursor.(f.Fetch_op.at_cursor))
-        ops;
-      let compare_pending i1 i2 =
-        match Fetch_op.compare_start ops.(i1) ops.(i2) with 0 -> Int.compare i1 i2 | c -> c
-      in
-      for c = 0 to n do
-        by_cursor.(c) <- List.sort compare_pending by_cursor.(c)
-      done;
-      (* Fetches whose absolute start time is known (anchor reached):
-         (start_time, op_index), kept sorted by start time.  The merge and
-         the start-time listing are named functions so [arm] - called once
-         per serve - allocates no fresh closures. *)
-      let armed = ref [] in
-      let rec merge_armed l1 l2 =
-        match (l1, l2) with
-        | [], l | l, [] -> l
-        | (((t1, i1) as h1) :: r1), (((t2, i2) as h2) :: r2) ->
-          let c = match Int.compare t1 t2 with 0 -> compare_pending i1 i2 | x -> x in
-          if c <= 0 then h1 :: merge_armed r1 l2 else h2 :: merge_armed l1 r2
-      in
-      let rec start_times time = function
-        | [] -> []
-        | i :: tl -> (time + ops.(i).Fetch_op.delay, i) :: start_times time tl
-      in
-      let arm time c =
-        match by_cursor.(c) with
-        | [] -> ()
-        | pending ->
-          armed := merge_armed !armed (start_times time pending);
-          by_cursor.(c) <- []
-      in
-      let events = ref [] in
-      let push e = if record_events then events := e :: !events in
-      let occupancy = ref [] in
-      let last_occ = ref (-1) in
-      let sample_occ t =
-        if attribution then begin
-          let occ = !cache_count + !in_flight_count in
-          if occ <> !last_occ then begin
-            occupancy := (t, occ) :: !occupancy;
-            last_occ := occ
-          end
+  try
+    List.iter validate schedule;
+    (* Fetch operations are tracked by their index in the submitted
+       schedule so stall charges can name the exact operation. *)
+    let ops = Array.of_list schedule in
+    let nops = Array.length ops in
+    (* State. *)
+    let in_cache = Array.make num_blocks false in
+    List.iter (fun b -> in_cache.(b) <- true) inst.Instance.initial_cache;
+    let cache_count = ref (List.length inst.Instance.initial_cache) in
+    (* flight_op.(d): op in flight on disk d, or -1; flight_end.(d): the
+       instant it completes. *)
+    let flight_op = Array.make num_disks (-1) in
+    let flight_end = Array.make num_disks 0 in
+    let in_flight_count = ref 0 in
+    (* block_in_flight.(b): op fetching block b, or -1. *)
+    let block_in_flight = Array.make num_blocks (-1) in
+    let disk_busy = Array.make num_disks 0 in
+    (* Cache-slot reservations: a fetch holds its slot from first start
+       until final success or abandonment, across retries.  Fault-free,
+       this equals [in_flight_count] at every capacity check. *)
+    let reserved = ref 0 in
+    (* Stall charges, indexed like [ops]. *)
+    let involuntary = Array.make (if attribution then nops else 0) 0 in
+    let voluntary = Array.make (if attribution then nops else 0) 0 in
+    (* Per-op fault state, empty on paths that never read it. *)
+    let fsz = if faulty then nops else 0 in
+    let cur_jitter = Array.make fsz false in
+    let cur_start = Array.make fsz 0 in
+    let was_deferred = Array.make fsz false in
+    let rsz = if retrying then nops else 0 in
+    let attempts = Array.make rsz 0 in
+    let cur_fail = Array.make rsz false in
+    (* Outage-interrupted ops relaunch with the SAME attempt number (an
+       interrupt does not consume an attempt) and keep their reservation
+       and eviction from the original start. *)
+    let redraw = Array.make rsz false in
+    (* Parked requests per supplying op, newest first (parking only). *)
+    let waiters = Array.make (if window > 0 then nops else 0) [] in
+    let parked = ref 0 in
+    let delayed_hits = ref 0 and delayed_wait = ref 0 and max_depth = ref 0 in
+    let waits = ref [] in
+    (* Ready-to-start ops (first attempts and due retries) waiting for
+       their turn: one FIFO per disk under the drop rule, one global FIFO
+       in armed order under the defer rule. *)
+    let waiting =
+      Array.init (if strict then 0 else if defer then 1 else num_disks) (fun _ -> Queue.create ())
+    in
+    let waiting_count = ref 0 in
+    (* Failed attempts in backoff: (ready_time, op_index), sorted. *)
+    let retryq = ref [] in
+    let retryq_add ready i = retryq := List.merge compare !retryq [ (ready, i) ] in
+    (* Fault report accumulators. *)
+    let f_jitter = ref 0 and f_failures = ref 0 and f_retries = ref 0 in
+    let f_abandoned = ref 0 and f_deferred = ref 0 and f_interrupts = ref 0 in
+    let f_dropped = ref 0 and f_skipped_evict = ref 0 and f_stall = ref 0 in
+    let fevents = ref [] in
+    let fevent e = fevents := e :: !fevents in
+    (* Pending fetches grouped by anchor cursor, held as bare op indexes
+       (immediate ints) so the bookkeeping allocates exactly what the
+       un-instrumented executor did; [ops.(i)] recovers the fetch. *)
+    let by_cursor = Array.make (n + 1) [] in
+    Array.iteri
+      (fun i f -> by_cursor.(f.Fetch_op.at_cursor) <- i :: by_cursor.(f.Fetch_op.at_cursor))
+      ops;
+    let compare_pending i1 i2 =
+      match Fetch_op.compare_start ops.(i1) ops.(i2) with 0 -> Int.compare i1 i2 | c -> c
+    in
+    for c = 0 to n do
+      by_cursor.(c) <- List.sort compare_pending by_cursor.(c)
+    done;
+    (* Fetches whose absolute start time is known (anchor reached):
+       (start_time, op_index), kept sorted by start time.  The merge and
+       the start-time listing are named functions so [arm] - called once
+       per serve - allocates no fresh closures. *)
+    let armed = ref [] in
+    let rec merge_armed l1 l2 =
+      match (l1, l2) with
+      | [], l | l, [] -> l
+      | (((t1, i1) as h1) :: r1), (((t2, i2) as h2) :: r2) ->
+        let c = match Int.compare t1 t2 with 0 -> compare_pending i1 i2 | x -> x in
+        if c <= 0 then h1 :: merge_armed r1 l2 else h2 :: merge_armed l1 r2
+    in
+    let rec start_times time = function
+      | [] -> []
+      | i :: tl -> (time + ops.(i).Fetch_op.delay, i) :: start_times time tl
+    in
+    let arm time c =
+      match by_cursor.(c) with
+      | [] -> ()
+      | pending ->
+        armed := merge_armed !armed (start_times time pending);
+        by_cursor.(c) <- []
+    in
+    let events = ref [] in
+    let record e = events := e :: !events in
+    let occupancy = ref [] in
+    let last_occ = ref (-1) in
+    let sample_occ t =
+      if attribution then begin
+        let occ = !cache_count + !in_flight_count in
+        if occ <> !last_occ then begin
+          occupancy := (t, occ) :: !occupancy;
+          last_occ := occ
         end
+      end
+    in
+    let stall = ref 0 in
+    let started = ref 0 in
+    let completed = ref 0 in
+    let peak = ref !cache_count in
+    let cursor = ref 0 in
+    let t = ref 0 in
+    let note_occupancy () =
+      if !cache_count + !in_flight_count > !peak then peak := !cache_count + !in_flight_count;
+      sample_occ !t
+    in
+    (* Provenance events (opt-in, {!Event_log}): executor-side fetch
+       issue/complete plus stall intervals aggregated from unit stalls
+       and attributed to the block the cursor is waiting on. *)
+    let prov_stall_from = ref (-1) in
+    let prov_issue (f : Fetch_op.t) =
+      if Event_log.enabled () then
+        Event_log.record
+          (Event_log.Fetch_issue
+             { time = !t; cursor = !cursor; block = f.Fetch_op.block; disk = f.Fetch_op.disk;
+               evict = f.Fetch_op.evict })
+    in
+    let prov_complete ~disk (f : Fetch_op.t) =
+      if Event_log.enabled () then
+        Event_log.record
+          (Event_log.Fetch_complete { time = !t; block = f.Fetch_op.block; disk })
+    in
+    let prov_serve b =
+      (* [prov_stall_from] is only ever set while the log is enabled. *)
+      if !prov_stall_from >= 0 then begin
+        Event_log.record
+          (Event_log.Stall_interval
+             { from_time = !prov_stall_from; until_time = !t; cursor = !cursor; block = b });
+        prov_stall_from := -1
+      end
+    in
+    let prov_stall () =
+      if Event_log.enabled () && !prov_stall_from < 0 then prov_stall_from := !t
+    in
+    arm 0 0;
+    sample_occ 0;
+    (* Deadlock guard.  Every stall unit lies in some fetch's armed
+       interval (its delay) or in-flight interval (one attempt), and
+       parking adds no time, so one worst-case attempt per fetch bounds
+       the run; under retries and outages add the worst case of every
+       retry, backoff wait and outage window. *)
+    let horizon =
+      let worst = Faults.max_latency faults ~fetch_time + faults.Faults.max_jitter in
+      let span latency =
+        n + List.fold_left (fun acc f -> acc + latency + f.Fetch_op.delay) 0 schedule + 1
       in
-      let stall = ref 0 in
-      let started = ref 0 in
-      let completed = ref 0 in
-      let peak = ref !cache_count in
-      let cursor = ref 0 in
-      let t = ref 0 in
-      (* Provenance events (opt-in, {!Event_log}): executor-side fetch
-         issue/complete plus stall intervals aggregated from unit stalls
-         and attributed to the block the cursor is waiting on. *)
-      let prov_stall_from = ref (-1) in
-      let prov_issue (f : Fetch_op.t) =
-        if Event_log.enabled () then
-          Event_log.record
-            (Event_log.Fetch_issue
-               { time = !t; cursor = !cursor; block = f.Fetch_op.block; disk = f.Fetch_op.disk;
-                 evict = f.Fetch_op.evict })
-      in
-      let prov_complete ~disk (f : Fetch_op.t) =
-        if Event_log.enabled () then
-          Event_log.record
-            (Event_log.Fetch_complete { time = !t; block = f.Fetch_op.block; disk })
-      in
-      let prov_serve b =
-        (* [prov_stall_from] is only ever set while the log is enabled. *)
-        if !prov_stall_from >= 0 then begin
-          Event_log.record
-            (Event_log.Stall_interval
-               { from_time = !prov_stall_from; until_time = !t; cursor = !cursor; block = b });
-          prov_stall_from := -1
-        end
-      in
-      let prov_stall () =
-        if Event_log.enabled () && !prov_stall_from < 0 then prov_stall_from := !t
-      in
-      arm 0 0;
-      sample_occ 0;
-      (* Upper bound on total time: every fetch costs at most F (+delays);
-         under faults, add the worst case of every retry, backoff wait and
-         outage window (a generous but finite deadlock guard). *)
-      let horizon =
-        let clean =
-          n + List.fold_left (fun acc f -> acc + fetch_time + f.Fetch_op.delay) 0 schedule + 1
-        in
-        if not faulty then clean
-        else begin
-          let ma = faults.Faults.retry.Faults.max_attempts in
-          let worst_attempt = Faults.max_latency faults ~fetch_time + faults.Faults.max_jitter in
-          let backoff_total = ref 0 in
-          for a = 1 to ma - 1 do
-            backoff_total := !backoff_total + Faults.backoff_delay faults.Faults.retry ~attempt:a
-          done;
-          let outage_total =
-            List.fold_left
-              (fun acc (o : Faults.outage) -> acc + (o.Faults.until_time - o.Faults.from_time))
-              0 faults.Faults.outages
-          in
-          let noutages = List.length faults.Faults.outages in
-          clean + outage_total
-          + (nops * (((ma + noutages) * worst_attempt) + !backoff_total))
-          + 16
-        end
-      in
-      (* Fault-mode start of one ready op on its (idle, up) disk; returns
-         false when the op had become inapplicable and was dropped. *)
-      let fault_start i =
-        let f = ops.(i) in
-        let open Fetch_op in
-        if attempts.(i) = 0 && not redraw.(i) then begin
-          (* First attempt: perform plan validation in degraded mode -
-             inapplicable fetches are dropped and counted, not rejected. *)
-          if in_cache.(f.block) || block_in_flight.(f.block) then begin
-            incr f_dropped;
-            false
-          end
-          else begin
-            let evict_resident =
-              match f.evict with Some b when in_cache.(b) -> true | _ -> false
-            in
-            if (not evict_resident) && !cache_count + !reserved + 1 > capacity then begin
-              (* Victim gone (or no-evict fetch) and no free slot. *)
-              incr f_dropped;
-              false
-            end
-            else begin
-              (match f.evict with
-               | Some b when in_cache.(b) ->
-                 in_cache.(b) <- false;
-                 decr cache_count
-               | Some _ -> incr f_skipped_evict
-               | None -> ());
-              let d = Faults.draw faults ~fetch_time ~disk:f.disk ~block:f.block ~attempt:1 ~start:!t in
-              attempts.(i) <- 1;
-              cur_fail.(i) <- d.Faults.failed;
-              cur_jitter.(i) <- d.Faults.duration > fetch_time;
-              cur_start.(i) <- !t;
-              if d.Faults.duration > fetch_time then begin
-                f_jitter := !f_jitter + (d.Faults.duration - fetch_time);
-                fevent
-                  (Faults.Slow
-                     { time = !t; disk = f.disk; block = f.block;
-                       extra = d.Faults.duration - fetch_time })
-              end;
-              in_flight.(f.disk) <- Some (i, !t + d.Faults.duration);
-              incr in_flight_count;
-              incr reserved;
-              block_in_flight.(f.block) <- true;
-              disk_busy.(f.disk) <- disk_busy.(f.disk) + d.Faults.duration;
-              incr started;
-              push (Fetch_start { time = !t; fetch = f });
-              prov_issue f;
-              true
-            end
-          end
-        end
-        else if in_cache.(f.block) || block_in_flight.(f.block) then begin
-          (* The block arrived through another fetch while this one was in
-             backoff: release the reservation and drop the retry. *)
-          decr reserved;
-          incr f_dropped;
-          false
-        end
-        else begin
-          (* Retry attempt (or same-attempt relaunch after an outage
-             interrupt): the slot is still reserved and the eviction
-             already happened on the first attempt. *)
-          let attempt = if redraw.(i) then max attempts.(i) 1 else attempts.(i) + 1 in
-          let was_redraw = redraw.(i) in
-          redraw.(i) <- false;
-          attempts.(i) <- attempt;
-          let d = Faults.draw faults ~fetch_time ~disk:f.disk ~block:f.block ~attempt ~start:!t in
-          cur_fail.(i) <- d.Faults.failed;
-          cur_jitter.(i) <- d.Faults.duration > fetch_time;
-          cur_start.(i) <- !t;
-          if d.Faults.duration > fetch_time then begin
-            f_jitter := !f_jitter + (d.Faults.duration - fetch_time);
-            fevent
-              (Faults.Slow
-                 { time = !t; disk = f.disk; block = f.block;
-                   extra = d.Faults.duration - fetch_time })
-          end;
-          if not was_redraw then begin
-            incr f_retries;
-            fevent (Faults.Retry { time = !t; disk = f.disk; block = f.block; attempt })
-          end;
-          in_flight.(f.disk) <- Some (i, !t + d.Faults.duration);
-          incr in_flight_count;
-          block_in_flight.(f.block) <- true;
-          disk_busy.(f.disk) <- disk_busy.(f.disk) + d.Faults.duration;
-          push (Fetch_start { time = !t; fetch = f });
-          prov_issue f;
-          true
-        end
-      in
-      while !cursor < n do
-        if !t > horizon then rejectf !t "simulation exceeded time horizon (deadlock)";
-        (* 0. Outage transitions (fault mode). *)
-        if faulty then
-          List.iter
-            (fun (o : Faults.outage) ->
-               if o.Faults.from_time = !t then
-                 fevent (Faults.Outage_begin { time = !t; disk = o.Faults.disk });
-               if o.Faults.until_time = !t then
-                 fevent (Faults.Outage_end { time = !t; disk = o.Faults.disk }))
-            faults.Faults.outages;
-        (* 1. Completions at instant t. *)
-        for d = 0 to num_disks - 1 do
-          match in_flight.(d) with
-          | Some (i, end_time) when end_time = !t ->
-            let f = ops.(i) in
-            if faulty && cur_fail.(i) then begin
-              (* Transient failure: the disk is freed, the block did not
-                 arrive; retry under the plan's policy or abandon. *)
-              in_flight.(d) <- None;
-              decr in_flight_count;
-              block_in_flight.(f.Fetch_op.block) <- false;
-              incr f_failures;
-              fevent
-                (Faults.Fail
-                   { time = !t; disk = d; block = f.Fetch_op.block; attempt = attempts.(i) });
-              if attempts.(i) < faults.Faults.retry.Faults.max_attempts then
-                retryq_add (!t + Faults.backoff_delay faults.Faults.retry ~attempt:attempts.(i)) i
-              else begin
-                incr f_abandoned;
-                decr reserved;
-                fevent
-                  (Faults.Give_up
-                     { time = !t; disk = d; block = f.Fetch_op.block; attempts = attempts.(i) })
-              end
-            end
-            else begin
-              in_flight.(d) <- None;
-              decr in_flight_count;
-              decr reserved;
-              block_in_flight.(f.Fetch_op.block) <- false;
-              if not in_cache.(f.Fetch_op.block) then begin
-                in_cache.(f.Fetch_op.block) <- true;
-                incr cache_count
-              end;
-              incr completed;
-              push (Fetch_complete { time = !t; fetch = f });
-              prov_complete ~disk:d f
-            end
-          | _ -> ()
+      if not retrying then span worst
+      else begin
+        let retry = faults.Faults.retry and outages = faults.Faults.outages in
+        let backoff_total = ref 0 in
+        for a = 1 to retry.Faults.max_attempts - 1 do
+          backoff_total := !backoff_total + Faults.backoff_delay retry ~attempt:a
         done;
-        (* 1b. Outage interrupts (fault mode): an in-flight attempt on a
-           disk that just went down is aborted and re-queued for when the
-           disk comes back; the interrupt does not consume an attempt. *)
-        if faulty then
-          for d = 0 to num_disks - 1 do
-            match in_flight.(d) with
-            | Some (i, end_time) when Faults.disk_down faults ~disk:d ~time:!t ->
-              let f = ops.(i) in
-              in_flight.(d) <- None;
-              decr in_flight_count;
-              block_in_flight.(f.Fetch_op.block) <- false;
-              disk_busy.(d) <- disk_busy.(d) - (end_time - !t);
-              incr f_interrupts;
-              fevent (Faults.Interrupted { time = !t; disk = d; block = f.Fetch_op.block });
-              redraw.(i) <- true;  (* relaunch re-draws this attempt, not a new one *)
-              retryq_add (Faults.next_up faults ~disk:d ~time:!t) i
-            | _ -> ()
-          done;
-        (* 2. Starts at instant t. *)
-        if not faulty then begin
-          let rec start_due () =
-            match !armed with
-            | (start_time, i) :: rest when start_time = !t ->
-              armed := rest;
-              let f = ops.(i) in
-              let open Fetch_op in
-              (match in_flight.(f.disk) with
-               | Some _ -> rejectf !t "disk %d already busy when fetch of b%d starts" f.disk f.block
-               | None -> ());
-              if in_cache.(f.block) then rejectf !t "fetch of b%d but it is already in cache" f.block;
-              if block_in_flight.(f.block) then rejectf !t "fetch of b%d already in flight" f.block;
-              (match f.evict with
-               | Some b ->
-                 (* A block being fetched is not yet resident, so the
-                    residency check below would also fire - but the precise
-                    reason matters, and the dedicated check keeps the
-                    invariant independent of the deposit ordering above. *)
-                 if block_in_flight.(b) then
-                   rejectf !t "eviction of b%d during its own in-flight fetch window" b;
-                 if not in_cache.(b) then rejectf !t "eviction of b%d which is not in cache" b;
-                 in_cache.(b) <- false;
-                 decr cache_count
-               | None -> ());
-              (* The started fetch reserves a slot for the incoming block. *)
-              if !cache_count + !reserved + 1 > capacity then
-                rejectf !t "cache capacity %d exceeded" capacity;
-              in_flight.(f.disk) <- Some (i, !t + fetch_time);
-              incr in_flight_count;
-              incr reserved;
-              block_in_flight.(f.block) <- true;
-              (* Disks never pause: the fetch occupies the disk for exactly
-                 [fetch_time] units, so busy time is charged up front and the
-                 unfinished tail is refunded after the loop - no per-unit
-                 bookkeeping. *)
-              disk_busy.(f.disk) <- disk_busy.(f.disk) + fetch_time;
-              incr started;
-              push (Fetch_start { time = !t; fetch = f });
-              prov_issue f;
-              start_due ()
-            | (start_time, i) :: _ when start_time < !t ->
-              (* The armed list is sorted by start time and drained at every
-                 instant, so finding an overdue entry means the clock jumped
-                 past a scheduled start - an executor bug, not a bad plan. *)
-              let f = ops.(i) in
-              internal_error ~component:"simulate"
-                "armed fetch of b%d on disk %d overdue: start time %d < clock %d"
-                f.Fetch_op.block f.Fetch_op.disk start_time !t
-            | _ -> ()
-          in
-          start_due ()
+        let outage_total =
+          List.fold_left (fun acc (o : Faults.outage) -> acc + o.until_time - o.from_time) 0 outages
+        in
+        span fetch_time + outage_total
+        + (nops * (((retry.Faults.max_attempts + List.length outages) * worst) + !backoff_total))
+        + 16
+      end
+    in
+    let occupy i duration =
+      let f = ops.(i) in
+      flight_op.(f.Fetch_op.disk) <- i;
+      flight_end.(f.Fetch_op.disk) <- !t + duration;
+      incr in_flight_count;
+      block_in_flight.(f.Fetch_op.block) <- i;
+      (* Disks never pause: the fetch occupies the disk for exactly
+         [duration] units, so busy time is charged up front and the
+         unfinished tail is refunded after the loop - no per-unit
+         bookkeeping. *)
+      disk_busy.(f.Fetch_op.disk) <- disk_busy.(f.Fetch_op.disk) + duration
+    in
+    let announce i =
+      if record_events then record (Fetch_start { time = !t; fetch = ops.(i) });
+      prov_issue ops.(i)
+    in
+    (* Strict start: the paper's plan-consistency checks, rejecting. *)
+    let strict_start i =
+      let f = ops.(i) in
+      let open Fetch_op in
+      if flight_op.(f.disk) >= 0 then
+        rejectf !t "disk %d already busy when fetch of b%d starts" f.disk f.block;
+      if in_cache.(f.block) then rejectf !t "fetch of b%d but it is already in cache" f.block;
+      if block_in_flight.(f.block) >= 0 then rejectf !t "fetch of b%d already in flight" f.block;
+      (match f.evict with
+       | Some b ->
+         (* A block being fetched is not yet resident, so the residency
+            check below would also fire - but the precise reason
+            matters, and the dedicated check keeps the invariant
+            independent of the deposit ordering above. *)
+         if block_in_flight.(b) >= 0 then
+           rejectf !t "eviction of b%d during its own in-flight fetch window" b;
+         if not in_cache.(b) then rejectf !t "eviction of b%d which is not in cache" b;
+         in_cache.(b) <- false;
+         decr cache_count
+       | None -> ());
+      (* The started fetch reserves a slot for the incoming block. *)
+      if !cache_count + !reserved + 1 > capacity then rejectf !t "cache capacity %d exceeded" capacity;
+      occupy i fetch_time;
+      incr reserved;
+      incr started;
+      announce i
+    in
+    (* One attempt of op [i] with a duration drawn from the plan. *)
+    let attempt i a =
+      let f = ops.(i) in
+      let d = Faults.draw faults ~fetch_time ~disk:f.Fetch_op.disk ~block:f.Fetch_op.block
+          ~attempt:a ~start:!t
+      in
+      let extra = d.Faults.duration - fetch_time in
+      if retrying then begin
+        attempts.(i) <- a;
+        cur_fail.(i) <- d.Faults.failed
+      end;
+      if faulty then begin
+        cur_jitter.(i) <- extra > 0;
+        cur_start.(i) <- !t
+      end;
+      if extra > 0 then begin
+        f_jitter := !f_jitter + extra;
+        fevent (Faults.Slow { time = !t; disk = f.Fetch_op.disk; block = f.Fetch_op.block; extra })
+      end;
+      occupy i d.Faults.duration
+    in
+    (* First attempt of a degraded-mode start, once applicable: evict the
+       victim if it is still resident and reserve the incoming slot. *)
+    let first_start i =
+      let f = ops.(i) in
+      (match f.Fetch_op.evict with
+       | Some b when in_cache.(b) ->
+         in_cache.(b) <- false;
+         decr cache_count
+       | Some _ -> incr f_skipped_evict
+       | None -> ());
+      attempt i 1;
+      incr reserved;
+      if !cache_count + !reserved > capacity then
+        internal_error ~component:"simulate"
+          "t=%d cursor %d: start of b%d overfills the cache (%d resident + %d reserved > %d)" !t
+          !cursor f.Fetch_op.block !cache_count !reserved capacity;
+      incr started;
+      announce i
+    in
+    (* Drop rule, on an idle and up disk: a first start that no longer
+       applies - block resident or in flight, victim gone and no free
+       slot - is dropped and counted; a retry or outage relaunch whose
+       block arrived meanwhile releases its reservation and is dropped. *)
+    let drop_start i =
+      let f = ops.(i) in
+      let arrived = in_cache.(f.Fetch_op.block) || block_in_flight.(f.Fetch_op.block) >= 0 in
+      if attempts.(i) = 0 && not redraw.(i) then begin
+        let no_victim = match f.Fetch_op.evict with Some b -> not in_cache.(b) | None -> true in
+        if arrived || (no_victim && !cache_count + !reserved + 1 > capacity) then incr f_dropped
+        else first_start i
+      end
+      else if arrived then begin
+        decr reserved;
+        incr f_dropped
+      end
+      else begin
+        (* The slot is still reserved and the eviction already happened
+           on the first attempt. *)
+        let was_redraw = redraw.(i) in
+        let a = if was_redraw then max attempts.(i) 1 else attempts.(i) + 1 in
+        redraw.(i) <- false;
+        attempt i a;
+        if not was_redraw then begin
+          incr f_retries;
+          fevent
+            (Faults.Retry
+               { time = !t; disk = f.Fetch_op.disk; block = f.Fetch_op.block; attempt = a })
+        end;
+        announce i
+      end
+    in
+    (* Defer rule: a queued op starts once its disk is idle, its block is
+       neither resident nor in flight, and its eviction is performable -
+       a resident victim (net occupancy unchanged), or a free slot for a
+       no-evict fetch.  An absent victim is still in flight or queued and
+       will land. *)
+    let startable i =
+      let f = ops.(i) in
+      flight_op.(f.Fetch_op.disk) < 0
+      && (not in_cache.(f.Fetch_op.block))
+      && block_in_flight.(f.Fetch_op.block) < 0
+      &&
+      match f.Fetch_op.evict with
+      | Some v -> in_cache.(v)
+      | None -> !cache_count + !reserved + 1 <= capacity
+    in
+    let mark_deferred i =
+      if faulty && not was_deferred.(i) then begin
+        was_deferred.(i) <- true;
+        incr f_deferred
+      end
+    in
+    let mark_queue q = Queue.iter mark_deferred q in
+    let enqueue i =
+      Queue.add i waiting.(if defer then 0 else ops.(i).Fetch_op.disk);
+      incr waiting_count
+    in
+    let rec start_due () =
+      match !armed with
+      | (start_time, i) :: rest when start_time = !t ->
+        armed := rest;
+        strict_start i;
+        start_due ()
+      | (start_time, i) :: _ when start_time < !t ->
+        (* The armed list is sorted by start time and drained at every
+           instant, so finding an overdue entry means the clock jumped
+           past a scheduled start - an executor bug, not a bad plan. *)
+        let f = ops.(i) in
+        internal_error ~component:"simulate"
+          "armed fetch of b%d on disk %d overdue: start time %d < clock %d" f.Fetch_op.block
+          f.Fetch_op.disk start_time !t
+      | _ -> ()
+    in
+    (* Queue the due head of a time-sorted (time, op) list. *)
+    let rec move_due l =
+      match !l with
+      | (time, i) :: rest when time <= !t ->
+        l := rest;
+        enqueue i;
+        move_due l
+      | _ -> ()
+    in
+    (* Starts at the current instant.  Callable again within the instant:
+       parking advances the cursor, which can arm zero-delay ops due now. *)
+    let start_phase () =
+      if strict then start_due ()
+      else begin
+        move_due retryq;
+        move_due armed;
+        if defer then begin
+          (* One pass over the global FIFO: start what applies, keep the
+             rest in order. *)
+          let q = waiting.(0) in
+          for _ = 1 to Queue.length q do
+            let i = Queue.take q in
+            if startable i then begin
+              decr waiting_count;
+              first_start i
+            end
+            else begin
+              mark_deferred i;
+              Queue.add i q
+            end
+          done
         end
         else begin
-          (* Fault mode: due retries and due planned starts queue up per
-             disk and drain FIFO onto idle, up disks; a start finding its
-             disk busy or down simply waits instead of rejecting. *)
-          let rec move_retries () =
-            match !retryq with
-            | (ready, i) :: rest when ready <= !t ->
-              retryq := rest;
-              Queue.add i waiting.(ops.(i).Fetch_op.disk);
-              incr waiting_count;
-              move_retries ()
-            | _ -> ()
-          in
-          move_retries ();
-          let rec move_armed () =
-            match !armed with
-            | (start_time, i) :: rest when start_time <= !t ->
-              armed := rest;
-              Queue.add i waiting.(ops.(i).Fetch_op.disk);
-              incr waiting_count;
-              move_armed ()
-            | _ -> ()
-          in
-          move_armed ();
           for d = 0 to num_disks - 1 do
-            let continue = ref true in
-            while !continue && (not (Queue.is_empty waiting.(d)))
-                  && in_flight.(d) = None
-                  && not (Faults.disk_down faults ~disk:d ~time:!t) do
-              let i = Queue.take waiting.(d) in
+            let q = waiting.(d) in
+            while
+              (not (Queue.is_empty q))
+              && flight_op.(d) < 0
+              && not (Faults.disk_down faults ~disk:d ~time:!t)
+            do
               decr waiting_count;
-              (* A dropped op frees the disk for the next in line. *)
-              ignore (fault_start i : bool);
-              if in_flight.(d) <> None then continue := false
+              drop_start (Queue.take q)
             done
           done;
           (* Anything still queued was deferred by a busy or down disk. *)
-          if !waiting_count > 0 then
-            Array.iter
-              (fun q ->
-                 Queue.iter
-                   (fun i ->
-                      if not was_deferred.(i) then begin
-                        was_deferred.(i) <- true;
-                        incr f_deferred
-                      end)
-                   q)
-              waiting
-        end;
-        if !cache_count + !in_flight_count > !peak then peak := !cache_count + !in_flight_count;
-        if attribution then sample_occ !t;
-        (* 3. Serve or stall during [t, t+1). *)
-        let b = inst.Instance.seq.(!cursor) in
+          if !waiting_count > 0 then Array.iter mark_queue waiting
+        end
+      end
+    in
+    let outage_transition (o : Faults.outage) =
+      if o.Faults.from_time = !t then
+        fevent (Faults.Outage_begin { time = !t; disk = o.Faults.disk });
+      if o.Faults.until_time = !t then fevent (Faults.Outage_end { time = !t; disk = o.Faults.disk })
+    in
+    let vacate d i =
+      flight_op.(d) <- -1;
+      decr in_flight_count;
+      block_in_flight.(ops.(i).Fetch_op.block) <- -1
+    in
+    (* Completions at the current instant.  A failed attempt frees the
+       disk without delivering: retry under the plan's policy or abandon.
+       A delivered block releases the requests parked on it. *)
+    let complete () =
+      for d = 0 to num_disks - 1 do
+        let i = flight_op.(d) in
+        if i >= 0 && flight_end.(d) = !t then begin
+          let f = ops.(i) in
+          vacate d i;
+          if retrying && cur_fail.(i) then begin
+            incr f_failures;
+            fevent
+              (Faults.Fail { time = !t; disk = d; block = f.Fetch_op.block; attempt = attempts.(i) });
+            if attempts.(i) < faults.Faults.retry.Faults.max_attempts then
+              retryq_add (!t + Faults.backoff_delay faults.Faults.retry ~attempt:attempts.(i)) i
+            else begin
+              incr f_abandoned;
+              decr reserved;
+              fevent
+                (Faults.Give_up
+                   { time = !t; disk = d; block = f.Fetch_op.block; attempts = attempts.(i) })
+            end
+          end
+          else begin
+            decr reserved;
+            if not in_cache.(f.Fetch_op.block) then begin
+              in_cache.(f.Fetch_op.block) <- true;
+              incr cache_count
+            end;
+            incr completed;
+            if record_events then record (Fetch_complete { time = !t; fetch = f });
+            prov_complete ~disk:d f;
+            if window > 0 then begin
+              match waiters.(i) with
+              | [] -> ()
+              | ws ->
+                if record_events then
+                  List.iter
+                    (fun req -> record (Serve { time = !t; index = req; block = f.Fetch_op.block }))
+                    (List.rev ws);
+                parked := !parked - List.length ws;
+                waiters.(i) <- []
+            end
+          end
+        end
+      done
+    in
+    (* Outage interrupts: an in-flight attempt on a disk that just went
+       down is aborted and re-queued for when the disk comes back; the
+       interrupt does not consume an attempt. *)
+    let interrupt () =
+      for d = 0 to num_disks - 1 do
+        let i = flight_op.(d) in
+        if i >= 0 && Faults.disk_down faults ~disk:d ~time:!t then begin
+          vacate d i;
+          disk_busy.(d) <- disk_busy.(d) - (flight_end.(d) - !t);
+          incr f_interrupts;
+          fevent (Faults.Interrupted { time = !t; disk = d; block = ops.(i).Fetch_op.block });
+          redraw.(i) <- true;
+          retryq_add (Faults.next_up faults ~disk:d ~time:!t) i
+        end
+      done
+    in
+    (* Stall is legal while a fetch is in flight, armed, queued or in
+       backoff.  With none, the missing block can never arrive: reject.
+       Under the defer rule queued ops do not count: with nothing in
+       flight, no park and no start happened this instant, so every
+       queued op was found inapplicable in the state that persists - and
+       with nothing in flight or armed, nothing will change it. *)
+    let check_progress b =
+      if !in_flight_count = 0 && !armed = [] && !retryq = [] && (defer || !waiting_count = 0)
+      then
+        if retrying then
+          rejectf !t "request r%d (b%d) missing and unrecoverable under faults" (!cursor + 1) b
+        else if !waiting_count > 0 then
+          rejectf !t "request r%d (b%d) missing and unrecoverable (deferred fetches wedged)"
+            (!cursor + 1) b
+        else
+          rejectf !t "request r%d (b%d) missing with no fetch in flight or scheduled" (!cursor + 1)
+            b
+    in
+    (* A fetch held up by the plan: a repeat attempt, a deferred start, or
+       a jittered attempt past its planned duration. *)
+    let fault_delayed i =
+      faulty
+      && ((retrying && attempts.(i) > 1)
+          || was_deferred.(i)
+          || (cur_jitter.(i) && !t >= cur_start.(i) + fetch_time))
+    in
+    (* Stall charging.  [b] is the block the cursor waits on, or -1 for
+       any block: the tail drain of parked requests, or the fallback when
+       nothing supplies [b] (a doomed run that will reject), which keeps
+       the partition total exact.  In flight -> involuntary; armed but
+       delayed -> voluntary; queued or in backoff -> voluntary and fault
+       stall.  For any block the in-flight pick is the earliest to
+       complete. *)
+    let supplies b i = b < 0 || ops.(i).Fetch_op.block = b in
+    let rec first_of b = function
+      | [] -> -1
+      | (_, i) :: rest -> if supplies b i then i else first_of b rest
+    in
+    let first_queued b =
+      let i =
+        Array.fold_left
+          (fun found q ->
+             Queue.fold (fun found i -> if found < 0 && supplies b i then i else found) found q)
+          (-1) waiting
+      in
+      if i >= 0 then i else first_of b !retryq
+    in
+    let earliest_in_flight () =
+      let best = ref (-1) in
+      for d = 0 to num_disks - 1 do
+        if flight_op.(d) >= 0 && (!best < 0 || flight_end.(d) < flight_end.(!best)) then best := d
+      done;
+      if !best < 0 then -1 else flight_op.(!best)
+    in
+    let charge b =
+      let i = if b >= 0 then block_in_flight.(b) else earliest_in_flight () in
+      if i >= 0 then begin
+        involuntary.(i) <- involuntary.(i) + 1;
+        if fault_delayed i then incr f_stall;
+        true
+      end
+      else
+        let i = first_of b !armed in
+        if i >= 0 then begin
+          voluntary.(i) <- voluntary.(i) + 1;
+          true
+        end
+        else
+          let i = first_queued b in
+          if i >= 0 then begin
+            voluntary.(i) <- voluntary.(i) + 1;
+            incr f_stall
+          end;
+          i >= 0
+    in
+    let charge_stall b =
+      if not ((b >= 0 && charge b) || charge (-1)) then
+        internal_error ~component:"simulate"
+          "t=%d cursor %d: stall awaiting b%d with no fetch in flight, armed, queued or retrying" !t
+          !cursor b
+    in
+    let stall_unit b =
+      if attribution then charge_stall b;
+      prov_stall ();
+      if record_events then record (Stall { time = !t });
+      incr stall;
+      incr t
+    in
+    (* Delayed hit: park the cursor request on the in-flight fetch of its
+       block and move on within the same instant. *)
+    let park b =
+      let i = block_in_flight.(b) in
+      let disk = ops.(i).Fetch_op.disk in
+      if flight_op.(disk) <> i then
+        internal_error ~component:"simulate"
+          "t=%d cursor %d: b%d marked in flight by a fetch not on disk %d" !t !cursor b disk;
+      let ready_at = flight_end.(disk) in
+      waiters.(i) <- !cursor :: waiters.(i);
+      let depth = List.length waiters.(i) in
+      let residual = ready_at - !t in
+      incr parked;
+      incr delayed_hits;
+      delayed_wait := !delayed_wait + residual;
+      if depth > !max_depth then max_depth := depth;
+      waits :=
+        { req_index = !cursor; block = b; disk; parked_at = !t; ready_at; queue_depth = depth }
+        :: !waits;
+      prov_serve b;
+      if Event_log.enabled () then
+        Event_log.record
+          (Event_log.Delayed_hit
+             { time = !t; cursor = !cursor; block = b; disk; queue_depth = depth; residual });
+      if Telemetry.enabled () then begin
+        Telemetry.incr m_hits;
+        Telemetry.add m_wait_units residual;
+        Telemetry.observe_int m_residual_hist residual;
+        Telemetry.observe_int m_depth_hist depth
+      end;
+      incr cursor;
+      arm !t !cursor
+    in
+    (* Serve, park or stall during [t, t+1).  Parking takes no time and
+       may enable further starts and serves within the instant; each
+       round advances the cursor, so the recursion terminates. *)
+    let rec serve_phase () =
+      if !cursor >= n then stall_unit (-1) (* tail drain: only parked requests remain *)
+      else begin
+        let b = seq.(!cursor) in
         if in_cache.(b) then begin
           prov_serve b;
-          push (Serve { time = !t; index = !cursor; block = b });
+          if record_events then record (Serve { time = !t; index = !cursor; block = b });
           incr cursor;
           incr t;
           arm !t !cursor
         end
-        else begin
-          (* Stall is legal while a fetch is in flight or an armed fetch will
-             start later (a delayed start is a voluntary stall).  With neither,
-             the missing block can never arrive: reject as a deadlock.  Under
-             faults, waiting and retrying fetches also keep the run alive. *)
-          if !in_flight_count = 0 && !armed = []
-             && ((not faulty) || (!waiting_count = 0 && !retryq = [])) then
-            if faulty then
-              rejectf !t "request r%d (b%d) missing and unrecoverable under faults" (!cursor + 1) b
-            else
-              rejectf !t "request r%d (b%d) missing with no fetch in flight or scheduled" (!cursor + 1) b;
-          if attribution then begin
-            (* Charge the unit to the fetch supplying the needed block: in
-               flight -> involuntary, armed-but-delayed -> voluntary.  For
-               accepted schedules one of the two always exists (otherwise
-               the run deadlocks and is rejected); the fallbacks keep the
-               partition total even on paths that will reject later.  In
-               fault mode a fetch held up by a retry wait, a deferral or a
-               jittered/retried in-flight attempt additionally charges the
-               unit to the fault plan. *)
-            let charged = ref false in
-            for d = 0 to num_disks - 1 do
-              match in_flight.(d) with
-              | Some (i, _) when (not !charged) && ops.(i).Fetch_op.block = b ->
-                involuntary.(i) <- involuntary.(i) + 1;
-                if faulty
-                   && (attempts.(i) > 1 || was_deferred.(i)
-                       || (cur_jitter.(i) && !t >= cur_start.(i) + fetch_time)) then
-                  incr f_stall;
-                charged := true
-              | _ -> ()
-            done;
-            if not !charged then (
-              match List.find_opt (fun (_, i) -> ops.(i).Fetch_op.block = b) !armed with
-              | Some (_, i) ->
-                voluntary.(i) <- voluntary.(i) + 1;
-                charged := true
-              | None -> ());
-            if faulty && not !charged then begin
-              (* Waiting for a busy/down disk or sitting out a backoff:
-                 still "not started", so the partition books it as
-                 voluntary, but the delay is the fault plan's fault. *)
-              let found = ref None in
-              Array.iter
-                (fun q ->
-                   Queue.iter (fun i -> if !found = None && ops.(i).Fetch_op.block = b then found := Some i) q)
-                waiting;
-              if !found = None then (
-                match List.find_opt (fun (_, i) -> ops.(i).Fetch_op.block = b) !retryq with
-                | Some (_, i) -> found := Some i
-                | None -> ());
-              match !found with
-              | Some i ->
-                voluntary.(i) <- voluntary.(i) + 1;
-                incr f_stall;
-                charged := true
-              | None -> ()
-            end;
-            if not !charged then begin
-              (* Doomed-to-reject path: no fetch of the needed block exists.
-                 Charge the earliest-completing in-flight fetch, else the
-                 earliest armed one, so the charge total stays exact. *)
-              let best = ref None in
-              for d = 0 to num_disks - 1 do
-                match (in_flight.(d), !best) with
-                | Some (i, e), Some (_, e') when e < e' -> best := Some (i, e)
-                | Some (i, e), None -> best := Some (i, e)
-                | _ -> ()
-              done;
-              match (!best, !armed) with
-              | Some (i, _), _ -> involuntary.(i) <- involuntary.(i) + 1
-              | None, (_, i) :: _ -> voluntary.(i) <- voluntary.(i) + 1
-              | None, [] ->
-                (* Fault mode can stall with everything queued or in
-                   backoff; charge the first such op to keep the total. *)
-                let found = ref None in
-                Array.iter
-                  (fun q -> Queue.iter (fun i -> if !found = None then found := Some i) q)
-                  waiting;
-                (match (!found, !retryq) with
-                 | Some i, _ | None, (_, i) :: _ ->
-                   voluntary.(i) <- voluntary.(i) + 1;
-                   incr f_stall
-                 | None, [] -> assert false (* rejected above *))
-            end
-          end;
-          prov_stall ();
-          push (Stall { time = !t });
-          incr stall;
-          incr t
+        else if !parked < window && block_in_flight.(b) >= 0 then begin
+          park b;
+          start_phase ();
+          note_occupancy ();
+          serve_phase ()
         end
-      done;
-      if attribution then sample_occ !t;
-      (* Refund busy time the in-flight fetches would spend past the end of
-         the run (the clock stops when the last request is served). *)
-      Array.iteri
-        (fun d fl ->
-           match fl with
-           | Some (_, end_time) when end_time > !t -> disk_busy.(d) <- disk_busy.(d) - (end_time - !t)
-           | _ -> ())
-        in_flight;
-      (* Drain: any still-armed fetches after the last request are ignored for
-         timing (they cannot add stall) but still counted as unstarted. *)
-      let stall_by_fetch =
-        if attribution then
-          Array.to_list
-            (Array.mapi
-               (fun i f ->
-                  { fetch = f;
-                    fetch_index = i;
-                    involuntary_stall = involuntary.(i);
-                    voluntary_stall = voluntary.(i) })
-               ops)
-        else []
-      in
-      let report =
-        if not faulty then Faults.empty_report
-        else
-          { Faults.injected_jitter = !f_jitter;
-            transient_failures = !f_failures;
-            retries = !f_retries;
-            abandoned = !f_abandoned;
-            deferred_starts = !f_deferred;
-            outage_interrupts = !f_interrupts;
-            dropped_fetches = !f_dropped;
-            skipped_evictions = !f_skipped_evict;
-            fault_stall = !f_stall;
-            replans = 0;
-            events = List.rev !fevents }
-      in
-      Ok
-        ( { stall_time = !stall;
+        else begin
+          check_progress b;
+          stall_unit b
+        end
+      end
+    in
+    while !cursor < n || !parked > 0 do
+      if !t > horizon then rejectf !t "simulation exceeded time horizon (deadlock)";
+      if retrying then List.iter outage_transition faults.Faults.outages;
+      complete ();
+      if retrying then interrupt ();
+      start_phase ();
+      note_occupancy ();
+      (* Completions at this instant may have released the last parked
+         request; the run is then over and no unit elapses. *)
+      if !cursor < n || !parked > 0 then serve_phase ()
+    done;
+    sample_occ !t;
+    (* Refund busy time the in-flight fetches would spend past the end of
+       the run (the clock stops when the last request is served). *)
+    for d = 0 to num_disks - 1 do
+      if flight_op.(d) >= 0 && flight_end.(d) > !t then
+        disk_busy.(d) <- disk_busy.(d) - (flight_end.(d) - !t)
+    done;
+    (* Still-armed fetches after the last request are ignored for timing
+       (they cannot add stall) but still counted as unstarted. *)
+    let stall_by_fetch =
+      if attribution then
+        Array.to_list
+          (Array.mapi
+             (fun i f ->
+                { fetch = f;
+                  fetch_index = i;
+                  involuntary_stall = involuntary.(i);
+                  voluntary_stall = voluntary.(i) })
+             ops)
+      else []
+    in
+    let report =
+      if not faulty then Faults.empty_report
+      else
+        { Faults.injected_jitter = !f_jitter;
+          transient_failures = !f_failures;
+          retries = !f_retries;
+          abandoned = !f_abandoned;
+          deferred_starts = !f_deferred;
+          outage_interrupts = !f_interrupts;
+          dropped_fetches = !f_dropped;
+          skipped_evictions = !f_skipped_evict;
+          fault_stall = !f_stall;
+          replans = 0;
+          events = List.rev !fevents }
+    in
+    Ok
+      { base =
+          { stall_time = !stall;
             elapsed_time = !t;
             fetches_started = !started;
             fetches_completed = !completed;
@@ -745,41 +886,33 @@ let exec ~extra_slots ~record_events ~attribution ~(faults : Faults.t) (inst : I
             events = List.rev !events;
             disk_busy;
             stall_by_fetch;
-            occupancy = List.rev !occupancy },
-          report )
-    with Reject e -> Error e
-  in
-  (match result with
-   | Ok (s, _) ->
-     if Telemetry.enabled () then begin
-       Telemetry.incr m_runs;
-       Telemetry.add m_stall_units s.stall_time;
-       Telemetry.add m_fetches s.fetches_completed;
-       List.iter
-         (fun a ->
-            Telemetry.add m_stall_involuntary a.involuntary_stall;
-            Telemetry.add m_stall_voluntary a.voluntary_stall)
-         s.stall_by_fetch;
-       Telemetry.observe_int m_stall_hist s.stall_time;
-       Telemetry.observe_int m_peak_hist s.peak_occupancy;
-       if s.elapsed_time > 0 then
-         Array.iter
-           (fun busy -> Telemetry.observe m_util_hist (float_of_int busy /. float_of_int s.elapsed_time))
-           s.disk_busy
-     end
-   | Error _ -> if Telemetry.enabled () then Telemetry.incr m_rejected);
-  result
+            occupancy = List.rev !occupancy };
+        delayed_hits = !delayed_hits;
+        delayed_wait = !delayed_wait;
+        max_queue_depth = !max_depth;
+        waits = List.rev !waits;
+        report }
+  with Reject e -> Error e
 
 let run ?(extra_slots = 0) ?(record_events = false) ?(attribution = false) (inst : Instance.t)
     (schedule : Fetch_op.schedule) : (stats, error) Result.t =
-  match exec ~extra_slots ~record_events ~attribution ~faults:Faults.none inst schedule with
-  | Ok (s, _) -> Ok s
-  | Error e -> Error e
+  let r =
+    Result.map
+      (fun o -> o.base)
+      (exec ~extra_slots ~record_events ~attribution ~faults:Faults.none inst schedule)
+  in
+  record_run_telemetry r;
+  r
 
 let run_faulty ?(extra_slots = 0) ?(record_events = false) ?(attribution = false)
     ~(faults : Faults.t) (inst : Instance.t) (schedule : Fetch_op.schedule) :
   (stats * Faults.report, error) Result.t =
-  let r = exec ~extra_slots ~record_events ~attribution ~faults inst schedule in
+  let r =
+    Result.map
+      (fun o -> (o.base, o.report))
+      (exec ~extra_slots ~record_events ~attribution ~faults inst schedule)
+  in
+  record_run_telemetry (Result.map fst r);
   (match r with Ok (_, report) when not (Faults.is_none faults) -> record_fault_telemetry report | _ -> ());
   r
 

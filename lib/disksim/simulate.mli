@@ -76,14 +76,51 @@ val run_faulty :
     (retried with the plan's backoff, bounded attempts) or be interrupted
     by whole-disk outages; plan-consistency violations caused by the
     faults are absorbed in degraded mode instead of rejecting - a start
-    finding its disk busy or down waits FIFO for the disk, an
-    inapplicable fetch (block already resident, eviction victim gone with
-    no free slot) is dropped and counted in the report.  Attribution is
-    forced on; stall units whose supplying fetch is retrying, deferred,
-    or running a jittered/repeat attempt are additionally counted as
-    [fault_stall].  Still rejects statically malformed schedules, and
-    deadlocks when an abandoned fetch leaves a requested block
-    unreachable (the {!Resilient} executor in lib/core re-plans instead). *)
+    finding its disk busy or down waits in its disk's FIFO, and a start
+    that no longer applies (block already resident or in flight, eviction
+    victim gone with no free slot) is dropped and counted in the report.
+    Attribution is forced on; stall units whose supplying fetch is
+    retrying, deferred, or running a jittered/repeat attempt are
+    additionally counted as [fault_stall].  Still rejects statically
+    malformed schedules, and deadlocks when an abandoned fetch leaves a
+    requested block unreachable (the {!Resilient} executor in lib/core
+    re-plans instead). *)
+
+(** {1 The shared loop}
+
+    {!run}, {!run_faulty} and {!Delayed.run} are entry points over one
+    timeline loop, {!exec}.  The types below are its full result; the
+    delayed-hit entry point re-exports them as [Delayed.wait] and
+    [Delayed.stats]. *)
+
+type wait = {
+  req_index : int;  (** request that parked (0-based position in seq) *)
+  block : Instance.block;
+  disk : int;
+  parked_at : int;
+  ready_at : int;  (** completion instant of the supplying fetch *)
+  queue_depth : int;  (** waiters on that fetch after this one joined *)
+}
+
+type outcome = {
+  base : stats;
+  delayed_hits : int;  (** requests served by parking; 0 without a window *)
+  delayed_wait : int;  (** sum of residual waits over parked requests *)
+  max_queue_depth : int;
+  waits : wait list;  (** chronological *)
+  report : Faults.report;  (** {!Faults.empty_report} under [Faults.none] *)
+}
+
+val exec :
+  ?window:int -> extra_slots:int -> record_events:bool -> attribution:bool -> faults:Faults.t ->
+  Instance.t -> Fetch_op.schedule -> (outcome, error) Result.t
+(** The executor loop.  [window] is passed by {!Delayed.run} only: it
+    bounds the requests parked on in-flight fetches, and it selects the
+    start rule of degraded mode - one global FIFO in armed order that
+    defers a start until it applies - where {!run_faulty}'s rule keeps
+    one FIFO per disk and drops a start that no longer applies.  Records
+    no telemetry of its own beyond the per-park delayed-hit counters;
+    the entry points do. *)
 
 exception Invalid_schedule of { algorithm : string; at_time : int; reason : string }
 (** A schedule the simulator rejects, in exception position.  [algorithm]
