@@ -6,9 +6,9 @@
     identities, the paper's {e theorem} bounds, and {e differential}
     agreement between independent implementations, plus the {e delayed}
     class (PR 7): degenerate-plan equivalence of the delayed-hit
-    executor and its queueing invariants, and the {e stream} class
-    (PR 10): full-window equivalence of the streaming engine to the
-    batch driver and exact replay of bounded-window schedules.  Oracles
+    executor and its queueing invariants, and the {e stream} class:
+    full-window equivalence of streaming runs to batch runs and exact
+    replay of bounded-window schedules.  Oracles
     are total:
     exceptions escaping a check are reported as failures, and
     inapplicable instances (wrong disk count, too large for an exact

@@ -16,12 +16,11 @@ let broken_decide d =
       let block = inst.Instance.seq.(pos) in
       if Driver.has_free_slot d then Driver.start_fetch d ~block ~evict:None
       else begin
-        let nr = Driver.next_ref d in
         let cur = Driver.cursor d in
         let victim =
           List.fold_left
             (fun acc c ->
-              let p = Next_ref.next_at_or_after nr c cur in
+              let p = Driver.next_ref d ~block:c ~from:cur in
               if p = cur then acc (* the block the processor needs right now *)
               else
                 match acc with

@@ -1,14 +1,14 @@
-(* Streaming-engine oracles.
+(* Streaming-run oracles.
 
    Two properties over single-disk instances:
 
    - {e full-window equivalence}: with the lookahead window covering the
-     whole trace, the streaming ports of Aggressive and Delay(d) must
-     produce schedules byte-identical to their batch twins, with the
-     same stall time and with the engine's demand-fetch safety net never
-     firing.  This pins the streaming engine to the batch Reference
-     semantics: window truncation is the only thing the streaming world
-     changes.
+     whole trace, the "aggressive" and "delay" policies - the very
+     decide rules the batch schedulers run, on the windowed index - must
+     produce schedules byte-identical to the batch runs, with the same
+     stall time and with the engine's demand-fetch safety net never
+     firing.  This pins the windowed index to the full-trace one: window
+     truncation is the only thing a streaming run changes.
 
    - {e bounded-window replay}: for every registered policy and a spread
      of window sizes, the recorded schedule must be accepted by
@@ -28,8 +28,8 @@ let stream_run ~window pol (inst : Instance.t) =
     (Stream.of_array inst.Instance.seq)
     pol
 
-(* The ported policies next to their batch twins.  Builders are thunks:
-   policy hook state is per-run. *)
+(* The policies that run a batch scheduler's rule, next to that
+   scheduler.  Policies are made by thunks: hook state is per-run. *)
 let ported (inst : Instance.t) =
   let d0 = Bounds.delay_opt_d ~f:inst.Instance.fetch_time in
   let ds = List.sort_uniq compare [ 0; 1; d0 ] in

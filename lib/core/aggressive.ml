@@ -7,14 +7,18 @@
 
    Theorem 1 of the paper: the elapsed-time approximation ratio is at most
    min{1 + F/(k + ceil(k/F) - 1), 2}; Theorem 2 shows this is essentially
-   tight. *)
+   tight.
+
+   [decide] reads the trace only through the engine's window-safe
+   queries, so the same rule drives batch runs and, as the "aggressive"
+   policy, streaming runs with a bounded lookahead. *)
 
 let decide d =
   if not (Driver.disk_busy d 0) then begin
     match Driver.next_missing d with
     | None -> ()
     | Some p ->
-      let block = (Driver.instance d).Instance.seq.(p) in
+      let block = Driver.request_at d p in
       if not (Driver.cache_full d) then Driver.start_fetch d ~block ~evict:None
       else begin
         match Driver.furthest_cached d ~from:(Driver.cursor d) with

@@ -11,7 +11,9 @@
     explicit family in {!Workload.theorem2_lower_bound}. *)
 
 val decide : Driver.t -> unit
-(** One decision step, exposed for reuse by {!Driver.run}-based tests. *)
+(** One decision step.  It reads the trace only through {!Driver}'s
+    window-safe queries, so it drives batch runs and the streaming
+    ["aggressive"] policy alike. *)
 
 val schedule : Instance.t -> Fetch_op.schedule
 (** The schedule Aggressive produces on the given instance. *)

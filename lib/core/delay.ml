@@ -22,8 +22,12 @@ type committed = {
   eligible_cursor : int;
 }
 
-let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
-  if d < 0 then invalid_arg "Delay.schedule: d must be non-negative";
+(* The rule reads the trace only through the engine's window-safe
+   queries, so it drives batch runs and, as the "delay" policy,
+   streaming runs alike: every position it looks at (cursor .. next
+   missing) lies inside the window. *)
+let rule ~d () =
+  if d < 0 then invalid_arg "Delay: d must be non-negative";
   let merge_queries =
     (* Fast path: skip the heap entirely when a free slot decides the
        fetch, and reuse the late-check peek as the victim query when
@@ -34,17 +38,18 @@ let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
     match Driver.active_engine () with Driver.Fast -> true | Driver.Reference -> false
   in
   let pending : committed option ref = ref None in
-  let commit_victim drv nr ~i ~j b =
-    (* Earliest initiation: after b's last request before j. *)
+  let commit_victim drv ~i ~j b =
+    (* Earliest initiation: after b's last request before j.  A stream's
+       window has forgotten positions below the cursor, which the
+       [p >= i] guard absorbs exactly like a full-trace answer. *)
     let eligible_cursor =
-      match Next_ref.prev_before nr b j with
+      match Driver.prev_ref drv ~block:b ~before:j with
       | p when p >= i -> p + 1
       | _ -> i
     in
-    pending :=
-      Some { block = (Driver.instance drv).Instance.seq.(j); evict = b; eligible_cursor }
+    pending := Some { block = Driver.request_at drv j; evict = b; eligible_cursor }
   in
-  let decide drv =
+  fun drv ->
     if not (Driver.disk_busy drv 0) then begin
       (match !pending with
        | Some _ -> ()
@@ -53,22 +58,18 @@ let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
          (match Driver.next_missing drv with
           | None -> ()
           | Some j ->
-            let nr = Driver.next_ref drv in
-            if not (Driver.cache_full drv) then begin
+            if not (Driver.cache_full drv) then
               (* Spare capacity: fetch without eviction, no delay needed. *)
-              pending :=
-                Some { block = (Driver.instance drv).Instance.seq.(j); evict = -1;
-                       eligible_cursor = i }
-            end
+              pending := Some { block = Driver.request_at drv j; evict = -1; eligible_cursor = i }
             else if merge_queries then begin
               match Driver.furthest_cached drv ~from:i with
               | Some (b0, nx) when nx > j ->
                 let d' = Stdlib.min d (j - i) in
-                if d' = 0 then commit_victim drv nr ~i ~j b0
+                if d' = 0 then commit_victim drv ~i ~j b0
                 else
                   (match Driver.furthest_cached drv ~from:(i + d') with
                    | None -> ()
-                   | Some (b, _) -> commit_victim drv nr ~i ~j b)
+                   | Some (b, _) -> commit_victim drv ~i ~j b)
               | _ -> ()
             end
             else begin
@@ -85,7 +86,7 @@ let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
                 let d' = Stdlib.min d (j - i) in
                 match Driver.furthest_cached drv ~from:(i + d') with
                 | None -> ()
-                | Some (b, _) -> commit_victim drv nr ~i ~j b
+                | Some (b, _) -> commit_victim drv ~i ~j b
               end
             end));
       (match !pending with
@@ -95,8 +96,9 @@ let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
          pending := None
        | _ -> ())
     end
-  in
-  Driver.schedule (Driver.run inst ~decide)
+
+let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
+  Driver.schedule (Driver.run inst ~decide:(rule ~d ()))
 
 let stats ~d inst =
   Driver.validate ~name:(Printf.sprintf "Delay(%d)" d) inst (schedule ~d inst)

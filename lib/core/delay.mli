@@ -14,6 +14,13 @@
     [d0 = ceil ((sqrt 3 - 1) * F / 2)] the bound tends to [sqrt 3 ~ 1.732]
     (Corollary 1).  See {!Bounds.delay_bound} and {!Bounds.delay_opt_d}. *)
 
+val rule : d:int -> unit -> Driver.t -> unit
+(** [rule ~d ()] is a fresh Delay(d) decide callback (the fetch it has
+    committed to is per-run state).  It reads the trace only through
+    {!Driver}'s window-safe queries, so it drives batch runs and the
+    streaming ["delay"] policy alike.
+    @raise Invalid_argument if [d < 0]. *)
+
 val schedule : d:int -> Instance.t -> Fetch_op.schedule
 (** @raise Invalid_argument if [d < 0]. *)
 

@@ -1,12 +1,20 @@
-(** Shared timeline driver for the online-style scheduling algorithms.
+(** The timeline engine: one instant loop for every scheduler.
 
-    The driver owns the simulated clock, cursor, cache and per-disk
-    in-flight state, and records each initiated fetch as a {!Fetch_op.t}
-    anchored to the cursor with the correct delay.  Algorithms
-    (Aggressive, Conservative, Delay(d), the parallel greedy variants, the
-    online variants) only express a per-instant decision rule; the
-    resulting schedule is replayed through {!Simulate.run}, keeping a
-    single source of truth for timing semantics. *)
+    Each instant the engine completes due fetches, calls the decision
+    rule, then serves the cursor's request or stalls.  It owns the
+    simulated clock, cursor, cache and per-disk in-flight state, and
+    records each initiated fetch as a {!Fetch_op.t} anchored to the
+    cursor with the correct delay.  Algorithms (Aggressive,
+    Conservative, Delay(d), the parallel greedy variants, the online
+    variants, the streaming policies) only express a per-instant
+    decision rule; batch schedules are replayed through {!Simulate.run},
+    keeping a single source of truth for timing semantics.
+
+    The entry point chooses the next-reference index: {!run} indexes the
+    whole trace ({!Next_ref}); {!run_stream} (behind {!Stream.run})
+    keeps a sliding lookahead window ({!Win_ref}) fed from a pull
+    source and adds the stream-only parts: observer hooks, a demand
+    fetch and the window refill. *)
 
 type t
 
@@ -39,6 +47,7 @@ val active_engine : unit -> engine
     oracle. *)
 
 val create : Instance.t -> t
+(** A batch engine over the whole instance, before its first instant. *)
 
 val run : Instance.t -> decide:(t -> unit) -> t
 (** [run inst ~decide] executes the timeline to completion, calling
@@ -46,24 +55,81 @@ val run : Instance.t -> decide:(t -> unit) -> t
     the callback may invoke {!start_fetch}.
 
     Decide contract (required by the fast engine's event skipping, and
-    satisfied by every in-tree scheduler): the callback must do nothing
-    when every disk is busy, and must depend on the driver only through
-    the cursor, cache, and in-flight state - never on the raw clock - so
-    repeating it against an identical state is a no-op.  The reference
-    engine literally calls [decide] once per instant; the fast engine
-    skips only invocations that contract proves are no-ops.
+    satisfied by every in-tree rule, streaming policies included): the
+    callback must do nothing when every disk is busy, and must depend on
+    the engine only through the cursor, cache, and in-flight state -
+    never on the raw clock - so repeating it against an identical state
+    is a no-op.  The reference engine literally calls [decide] once per
+    instant; the fast engine skips only invocations that contract proves
+    are no-ops.
     @raise Simulate.Internal_error (component ["driver"]) if the
     algorithm deadlocks: the cursor's block is missing and no fetch is in
     flight. *)
 
-(** {1 State queries (valid inside [decide])} *)
+type hooks = {
+  on_find : t -> block:int -> hit:bool -> unit;
+      (** once per request, the first instant the cursor reaches it,
+          before the rule decides; [hit] is residency at that moment *)
+  on_insert : t -> block:int -> unit;  (** a fetched block became resident *)
+  on_evict : t -> block:int -> unit;  (** a resident block was dropped *)
+}
+
+val run_stream :
+  k:int ->
+  fetch_time:int ->
+  window:int ->
+  record_schedule:bool ->
+  initial_cache:int list ->
+  hooks:hooks ->
+  decide:(t -> unit) ->
+  (unit -> int option) ->
+  t
+(** [run_stream ... pull] runs one disk over the requests [pull] yields
+    until it returns [None], seeing at most [window] requests past the
+    cursor.  Each instant: completions (firing [on_insert]), [on_find]
+    for a newly reached request, [decide], then a demand fetch if the
+    cursor's block is still missing and the disk idle (evicting
+    {!furthest_cached}), then serve or stall, then refill the window.
+    {!Stream.run} is the user-facing entry point.
+    @raise Instance.Invalid if [k], [fetch_time] or [window] is below 1,
+    the initial cache is invalid, or [pull] yields a negative id.
+    @raise Simulate.Internal_error (component ["stream"]) on an illegal
+    fetch or a deadlock. *)
+
+(** {1 State queries (valid inside [decide])}
+
+    Everything here is window-safe: in a streaming run no query reveals
+    a request at or beyond {!lookahead_end}. *)
 
 val finished : t -> bool
 val time : t -> int
 val cursor : t -> int
 
-val next_ref : t -> Next_ref.t
+val lookahead_end : t -> int
+(** One past the last known request position: the trace length in a
+    batch run, the window edge in a stream. *)
+
+val request_at : t -> int -> int
+(** Block requested at a known position.  In a stream only
+    [[cursor, lookahead_end)) is known.
+    @raise Invalid_argument outside the known positions. *)
+
+val next_ref : t -> block:int -> from:int -> int
+(** First known position [>= from] requesting [block].  A block not
+    requested again scores at or above {!lookahead_end}: the trace
+    length in a batch run, {!Win_ref.horizon} in a stream. *)
+
+val prev_ref : t -> block:int -> before:int -> int
+(** Last known position [< before] requesting [block], or [-1].  A
+    stream has forgotten the positions below the cursor. *)
+
+val max_block_seen : t -> int
+(** Largest block id known so far: the instance's last block in a batch
+    run, the largest id pulled in a stream ([-1] before the first). *)
+
 val instance : t -> Instance.t
+(** The whole instance.  Batch runs only.
+    @raise Simulate.Internal_error in a streaming run. *)
 
 val in_cache : t -> int -> bool
 val cache_count : t -> int
@@ -81,10 +147,10 @@ val any_disk_busy : t -> bool
 val block_in_flight : t -> int -> bool
 
 val next_missing : ?from:int -> t -> int option
-(** First position at or after [from] (default: the cursor) whose block is
-    neither cached nor in flight.  Fast engine: amortized O(1) via the
-    monotone frontier when [from <=] the last answer (the only pattern
-    schedulers use); evictions clamp the frontier back. *)
+(** First known position at or after [from] (default: the cursor) whose
+    block is neither cached nor in flight.  Fast engine: amortized O(1)
+    via the monotone frontier when [from <=] the last answer (the only
+    pattern schedulers use); evictions clamp the frontier back. *)
 
 val next_missing_on_disk : t -> disk:int -> from:int -> int option
 (** Per-disk variant with its own monotone frontier. *)
@@ -92,22 +158,35 @@ val next_missing_on_disk : t -> disk:int -> from:int -> int option
 val furthest_cached : t -> from:int -> (int * int) option
 (** The cached block whose next reference measured from [from] is furthest
     in the future (ties broken towards smaller ids), with that reference
-    position ([Instance.length] meaning "never again").  Fast engine:
-    O(log k) amortized from the eviction-candidate heap, plus an
+    position (see {!next_ref} for blocks not requested again).  Fast
+    engine: O(log k) amortized from the eviction-candidate heap, plus an
     O(from - cursor) re-scoring pass when querying beyond the cursor
     (Delay's d' window). *)
 
 (** {1 Actions} *)
 
 val start_fetch : ?disk:int -> t -> block:int -> evict:int option -> unit
-(** Initiate a fetch at the current instant.  Preconditions (checked by
-    assertions): the disk is idle, the block is absent and not in flight,
-    and the evicted block (if any) is resident. *)
+(** Initiate a fetch at the current instant.
+    @raise Simulate.Internal_error (component ["driver"], or ["stream"]
+    in a streaming run) if the disk is busy, the block is resident or
+    already in flight, the evicted block is not resident, or no victim
+    is given while [k] blocks are resident. *)
 
 (** {1 Results} *)
 
 val schedule : t -> Fetch_op.schedule
+(** The fetches started so far, in order (empty for a stream that does
+    not record its schedule). *)
+
 val stall_time : t -> int
+val fetches : t -> int
+
+val demand_fetches : t -> int
+(** Fetches started by the stream's demand path (0 in a batch run). *)
+
+val refills : t -> int
+(** Window refill batches pulled from the stream's source (0 in a batch
+    run). *)
 
 (** {1 Low-level stepping (used by tests)} *)
 

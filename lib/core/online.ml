@@ -38,13 +38,12 @@ let schedule_reference (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
     if not (Driver.disk_busy d 0) then begin
       let c = Driver.cursor d in
       let horizon = Stdlib.min n (c + cfg.lookahead) in
-      let nr = Driver.next_ref d in
       (* LRU recency for invisible blocks: the last request strictly
          before the cursor, or -1 if none yet - queried on demand rather
          than accumulated per instant, which also keeps this callback a
          pure function of the cursor/cache state (the driver's decide
          contract). *)
-      let last_use b = Next_ref.prev_before nr b c in
+      let last_use b = Driver.prev_ref d ~block:b ~before:c in
       (* Next missing block, visible-window only.  With the disk idle on
          a single disk nothing is in flight, so the driver query's
          in-flight exclusion is vacuous and this matches a plain
@@ -60,7 +59,7 @@ let schedule_reference (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
            first. *)
         let candidates = Driver.cache_list d in
         let score b =
-          let nx = Next_ref.next_at_or_after nr b (i + d') in
+          let nx = Driver.next_ref d ~block:b ~from:(i + d') in
           if nx < horizon then (0, nx, 0) else (1, - (last_use b), b)
           (* visible blocks score below invisible; among invisible, older
              last use = better victim *)
@@ -82,7 +81,7 @@ let schedule_reference (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
              let victim = List.fold_left (fun acc b -> if better b acc then b else acc) first rest in
              let vk, vnx, _ = score victim in
              if (vk = 1 || vnx > j)
-                && Next_ref.next_at_or_after nr victim i > j then
+                && Driver.next_ref d ~block:victim ~from:i > j then
                (* victim not requested before the miss (as far as we can
                   see), including inside the delay window [i, i + d') -
                   otherwise wait for those requests to be served first *)
@@ -130,7 +129,6 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
   let decide d =
     if not (Driver.disk_busy d 0) then begin
       let c = Driver.cursor d in
-      let nr = Driver.next_ref d in
       while !scanned < c do
         let b = seq.(!scanned) in
         Evict_heap.add heap ~block:(mirror b) ~key:(n - !scanned);
@@ -152,7 +150,7 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
             | Some (m, key) ->
               let b = mirror m in
               if (not (Driver.in_cache d b))
-                 || Next_ref.next_at_or_after nr b c < horizon
+                 || Driver.next_ref d ~block:b ~from:c < horizon
               then begin
                 Evict_heap.remove heap ~block:m;
                 top_a ()
@@ -163,9 +161,9 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
           for p = i to i + d' - 1 do
             let b = seq.(p) in
             if Driver.in_cache d b
-               && Next_ref.next_at_or_after nr b (i + d') >= horizon
+               && Driver.next_ref d ~block:b ~from:(i + d') >= horizon
             then begin
-              let lu = Next_ref.prev_before nr b c in
+              let lu = Driver.prev_ref d ~block:b ~before:c in
               let better =
                 match !best with
                 | None -> true
@@ -181,12 +179,12 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
                inside the delay window, so hold the fetch until those
                requests are served - the reference applies the same
                nx-from-cursor test. *)
-            if Next_ref.next_at_or_after nr v c > j then
+            if Driver.next_ref d ~block:v ~from:c > j then
               Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
           | None ->
             (match Driver.furthest_cached d ~from:(i + d') with
              | Some (v, vnx)
-               when vnx > j && Next_ref.next_at_or_after nr v c > j ->
+               when vnx > j && Driver.next_ref d ~block:v ~from:c > j ->
                Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
              | _ -> ())
         end

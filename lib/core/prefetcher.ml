@@ -1,13 +1,11 @@
-(* Prefetch policies for the streaming engine, and their registry.
+(* Prefetch policies for streaming runs, and their registry.
 
    Two kinds live here:
 
-   - Ports of the paper's offline algorithms to the
-     online-with-lookahead world: [aggressive] and [delay ~d] make the
-     same decisions as {!Aggressive} / {!Delay} but read next-reference
-     information from the bounded window ({!Stream.horizon} past the
-     edge).  At [window = n] their schedules are byte-identical to the
-     batch twins — lib/check pins this.
+   - The paper's rules: [aggressive] and [delay ~d] are {!Aggressive}'s
+     and {!Delay}'s own decide callbacks, run against the windowed
+     index.  At [window = n] their schedules are byte-identical to the
+     batch runs — lib/check pins this.
 
    - History-based competitors with no batch counterpart: [obl]
      (one-block lookahead) and [markov] (first-order successor
@@ -24,84 +22,11 @@
    (Corollary 1); each [build] call returns a fresh policy — hook state
    is per-run. *)
 
-(* ------------------------------------------------------------------ *)
-(* Ported: Aggressive (Cao et al.), windowed. *)
-
 let aggressive () : Stream.policy =
-  let prefetch t =
-    if not (Stream.disk_busy t) then begin
-      match Stream.next_missing t with
-      | None -> ()
-      | Some p ->
-        let block = Stream.request_at t p in
-        if Stream.has_free_slot t then Stream.start_fetch t ~block ~evict:None
-        else begin
-          match Stream.furthest_cached t ~from:(Stream.cursor t) with
-          | Some (e, next) when next > p -> Stream.start_fetch t ~block ~evict:(Some e)
-          | Some _ | None -> ()  (* every cached block is requested before p *)
-        end
-    end
-  in
-  { (Stream.passive_policy "aggressive") with prefetch }
-
-(* ------------------------------------------------------------------ *)
-(* Ported: Delay(d), windowed.  Same decision procedure as
-   {!Delay.schedule}'s merged-query shape: commit to (block, victim,
-   eligible cursor) once, then wait for the cursor to reach
-   eligibility.  All positions involved (cursor .. next missing) lie
-   inside the window, so the windowed prev/next queries agree with the
-   full-trace ones whenever the batch algorithm would look at them. *)
-
-type committed = { c_block : int; c_evict : int; c_eligible : int }
+  { (Stream.passive_policy "aggressive") with prefetch = Aggressive.decide }
 
 let delay ~d () : Stream.policy =
-  if d < 0 then invalid_arg "Prefetcher.delay: d must be non-negative";
-  let pending : committed option ref = ref None in
-  let prefetch t =
-    if not (Stream.disk_busy t) then begin
-      (match !pending with
-       | Some _ -> ()
-       | None ->
-         let i = Stream.cursor t in
-         (match Stream.next_missing t with
-          | None -> ()
-          | Some j ->
-            let commit b =
-              (* Earliest initiation: after the victim's last request
-                 before j (batch semantics; in-window positions below
-                 the cursor have been pruned, which the [p >= i] guard
-                 absorbs exactly like the batch code). *)
-              let eligible =
-                match Stream.prev_ref t ~block:b ~before:j with
-                | p when p >= i -> p + 1
-                | _ -> i
-              in
-              pending :=
-                Some { c_block = Stream.request_at t j; c_evict = b; c_eligible = eligible }
-            in
-            if Stream.has_free_slot t then
-              pending :=
-                Some { c_block = Stream.request_at t j; c_evict = -1; c_eligible = i }
-            else begin
-              match Stream.furthest_cached t ~from:i with
-              | Some (b0, nx) when nx > j ->
-                let d' = Stdlib.min d (j - i) in
-                if d' = 0 then commit b0
-                else
-                  (match Stream.furthest_cached t ~from:(i + d') with
-                   | None -> ()
-                   | Some (b, _) -> commit b)
-              | _ -> ()  (* every cached block is requested before j *)
-            end));
-      (match !pending with
-       | Some c when Stream.cursor t >= c.c_eligible ->
-         Stream.start_fetch t ~block:c.c_block
-           ~evict:(if c.c_evict < 0 then None else Some c.c_evict);
-         pending := None
-       | _ -> ())
-    end
-  in
-  { (Stream.passive_policy (Printf.sprintf "delay(%d)" d)) with prefetch }
+  { (Stream.passive_policy (Printf.sprintf "delay(%d)" d)) with prefetch = Delay.rule ~d () }
 
 (* ------------------------------------------------------------------ *)
 (* History-based: shared speculative-fetch guard.
@@ -113,22 +38,23 @@ let delay ~d () : Stream.policy =
    seen so replayed schedules stay valid against any instance containing
    the trace. *)
 
-let try_speculative t ~want =
+let try_speculative d ~want =
   if
-    (not (Stream.disk_busy t))
+    (not (Driver.disk_busy d 0))
     && want >= 0
-    && want <= Stream.max_block_seen t
-    && (not (Stream.in_cache t want))
-    && Stream.cursor t < Stream.lookahead_end t
+    && want <= Driver.max_block_seen d
+    && (not (Driver.in_cache d want))
+    && Driver.cursor d < Driver.lookahead_end d
     &&
-    let cur = Stream.request_at t (Stream.cursor t) in
-    Stream.in_cache t cur || Stream.block_in_flight t cur
+    let cur = Driver.request_at d (Driver.cursor d) in
+    Driver.in_cache d cur || Driver.block_in_flight d cur
   then begin
-    if Stream.has_free_slot t then Stream.start_fetch t ~block:want ~evict:None
+    if Driver.has_free_slot d then Driver.start_fetch d ~block:want ~evict:None
     else
-      match Stream.furthest_cached t ~from:(Stream.cursor t) with
-      | Some (e, next) when next = Stream.horizon ->
-        Stream.start_fetch t ~block:want ~evict:(Some e)
+      match Driver.furthest_cached d ~from:(Driver.cursor d) with
+      | Some (e, next) when next >= Driver.lookahead_end d ->
+        (* no reference left in the window *)
+        Driver.start_fetch d ~block:want ~evict:(Some e)
       | Some _ | None -> ()  (* everything cached is still wanted; don't pollute *)
   end
 
@@ -138,7 +64,7 @@ let try_speculative t ~want =
 let obl () : Stream.policy =
   let want = ref (-1) in
   let on_find _t ~block ~hit:_ = want := block + 1 in
-  let prefetch t = try_speculative t ~want:!want in
+  let prefetch d = try_speculative d ~want:!want in
   { (Stream.passive_policy "obl") with prefetch; on_find }
 
 (* First-order Markov predictor (Mithril-style frequency mining, one
@@ -180,7 +106,7 @@ let markov () : Stream.policy =
     prev := block;
     want := best_successor block
   in
-  let prefetch t = try_speculative t ~want:!want in
+  let prefetch d = try_speculative d ~want:!want in
   { (Stream.passive_policy "markov") with prefetch; on_find }
 
 (* Pure demand paging: no speculation at all; the engine's demand path

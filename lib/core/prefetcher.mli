@@ -1,8 +1,8 @@
-(** Prefetch policies for the streaming engine, and their registry.
+(** Prefetch policies for streaming runs, and their registry.
 
-    Ported paper algorithms ({!aggressive}, {!delay}) read
-    next-reference information from the bounded lookahead window and are
-    byte-identical to their batch twins at [window = n]; history-based
+    The paper's rules ({!aggressive}, {!delay}) are {!Aggressive.decide}
+    and {!Delay.rule} run against the bounded lookahead window, so they
+    are byte-identical to the batch runs at [window = n]; history-based
     competitors ({!obl}, {!markov}) predict from the observed past and
     exist only in the streaming world.  Drivers select policies by name
     through the registry, libCacheSim-style. *)

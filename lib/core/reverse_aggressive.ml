@@ -64,7 +64,7 @@ let decide hints d =
             match Hashtbl.find_opt hints block with
             | Some e
               when Driver.in_cache d e
-                   && Next_ref.next_at_or_after (Driver.next_ref d) e (Driver.cursor d) > p ->
+                   && Driver.next_ref d ~block:e ~from:(Driver.cursor d) > p ->
               Some e
             | _ -> None
           in

@@ -1,30 +1,24 @@
-(* Streaming request engine: the online-with-bounded-lookahead core.
+(* Streaming runs: the online-with-bounded-lookahead front-end of the
+   timeline engine.
 
-   The batch {!Driver} consumes a whole {!Instance.t} with {!Next_ref}
-   precomputed offline — full-trace omniscience.  This engine models the
+   The batch entry point ({!Driver.run}) indexes a whole {!Instance.t}
+   with {!Next_ref} - full-trace omniscience.  A streaming run models the
    paper's real setting instead: requests arrive incrementally from a
-   pull-based {!source}, schedulers see only a bounded lookahead window
-   of [w] requests past the cursor, and next-reference knowledge is
-   truncated at the window edge ({!Win_ref.horizon} beyond it).
+   pull-based {!source}, rules see only a bounded lookahead window of
+   [w] requests past the cursor, and next-reference knowledge is
+   truncated at the window edge ({!Win_ref.horizon} beyond it).  Both run
+   on {!Driver}'s one instant loop; [run] picks the windowed index, and
+   with it the observer hooks, the demand fetch and the window refill.
 
    Policies plug in behind libCacheSim-style hooks ({!policy}:
-   [prefetch] / [on_find] / [on_insert] / [on_evict]); the built-in
-   ports and history-based competitors live in {!Prefetcher}.
-
-   The engine mirrors the batch Reference loop instant by instant
-   (tick completions, decide, advance), so at [w = n] a ported policy
-   produces byte-identical schedules to its batch twin — the streaming
-   oracle class in lib/check pins this across the fuzz corpus.  Unlike
-   the batch driver it holds no full-trace arrays: memory is
-   O(window + cache + block universe of the resident set), so endless
-   traces stream in constant space.
-
-   Misses the policy declines to cover are handled by a built-in demand
-   fetch (issued after the policy's [prefetch] at the same instant, only
-   when the disk is idle and the cursor's block is neither resident nor
-   in flight), so history-based prefetchers that only speculate still
-   make progress.  For the ported omniscient-within-window policies the
-   demand path never fires — they always cover the cursor miss first. *)
+   [prefetch] / [on_find] / [on_insert] / [on_evict]) and read the
+   engine through {!Driver}'s window-safe accessors; the built-in
+   policies live in {!Prefetcher}.  Because Aggressive and Delay(d) are
+   the same rules in both modes, at [w = n] their streaming schedules
+   are byte-identical to the batch ones - the streaming oracle class in
+   lib/check pins this across the fuzz corpus.  No full-trace arrays
+   are held: memory is O(window + cache + block universe of the
+   resident set), so endless traces stream in constant space. *)
 
 (* ------------------------------------------------------------------ *)
 (* Sources. *)
@@ -77,11 +71,17 @@ let take n src =
 
 let rng seed = Random.State.make [| seed; 0x9e3779b9 |]
 
+let check_blocks source num_blocks =
+  if num_blocks < 1 then
+    Instance.invalidf "Stream.%s: num_blocks must be >= 1 (got %d)" source num_blocks
+
 let uniform ~seed ~num_blocks =
+  check_blocks "uniform" num_blocks;
   let st = rng seed in
   { name = "uniform"; pull = (fun () -> Some (Random.State.int st num_blocks)) }
 
 let zipf ~seed ~alpha ~num_blocks =
+  check_blocks "zipf" num_blocks;
   let st = rng seed in
   let weights = Array.init num_blocks (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) alpha) in
   let cdf = Array.make num_blocks 0.0 in
@@ -103,6 +103,7 @@ let zipf ~seed ~alpha ~num_blocks =
   { name = "zipf"; pull = (fun () -> Some (sample ())) }
 
 let sequential_scan ~num_blocks =
+  check_blocks "sequential_scan" num_blocks;
   let i = ref 0 in
   { name = "scan";
     pull =
@@ -112,9 +113,12 @@ let sequential_scan ~num_blocks =
          Some v) }
 
 let phase_shift ~seed ~num_blocks ~phase_len ~working_set =
-  if phase_len < 1 then invalid_arg "Stream.phase_shift: phase_len must be >= 1";
+  check_blocks "phase_shift" num_blocks;
+  if phase_len < 1 then
+    Instance.invalidf "Stream.phase_shift: phase_len must be >= 1 (got %d)" phase_len;
   if working_set < 1 || working_set > num_blocks then
-    invalid_arg "Stream.phase_shift: working_set must be in [1, num_blocks]";
+    Instance.invalidf "Stream.phase_shift: working_set must be in [1, %d] (got %d)" num_blocks
+      working_set;
   let st = rng seed in
   let stride = Stdlib.max 1 (working_set / 2) in
   let i = ref 0 in
@@ -129,46 +133,14 @@ let phase_shift ~seed ~num_blocks ~phase_len ~working_set =
          Some ((offset + Stdlib.min a b) mod num_blocks)) }
 
 (* ------------------------------------------------------------------ *)
-(* Engine. *)
+(* Policies and runs. *)
 
-let horizon = Win_ref.horizon
-
-type t = {
-  k : int;
-  fetch_time : int;
-  window : int;
-  record_schedule : bool;
-  src : source;
-  wr : Win_ref.t;
-  mutable exhausted : bool;
-  mutable time : int;
-  mutable cursor : int;
-  resident : (int, unit) Hashtbl.t;
-  mutable heap : Evict_heap.t;  (* live key = windowed next ref of each resident block *)
-  mutable heap_cap : int;  (* heap block-id capacity; grown as larger ids stream in *)
-  mutable cache_count : int;
-  mutable fly_block : int;  (* -1 when the (single) disk is idle *)
-  mutable fly_end : int;
-  mutable reach_cur : int;  (* first instant the cursor reached its position *)
-  mutable missing_from : int;  (* [cursor, missing_from) holds no missing position *)
-  mutable found_upto : int;  (* positions whose on_find already fired *)
-  mutable max_block_seen : int;
-  mutable ops_rev : Fetch_op.t list;
-  mutable stall : int;
-  mutable served : int;
-  mutable fetches : int;
-  mutable demand_fetches : int;
-  mutable refills : int;
-  mutable pulled : int;
-  mutable hooks : policy option;  (* attached by [run] *)
-}
-
-and policy = {
+type policy = {
   policy_name : string;
-  prefetch : t -> unit;  (* the per-instant decision slot (disk may be busy) *)
-  on_find : t -> block:int -> hit:bool -> unit;  (* once per request, at first head attempt *)
-  on_insert : t -> block:int -> unit;  (* a fetched block became resident *)
-  on_evict : t -> block:int -> unit;  (* a resident block was dropped *)
+  prefetch : Driver.t -> unit;  (* the per-instant decision slot (disk may be busy) *)
+  on_find : Driver.t -> block:int -> hit:bool -> unit;  (* once per request, at first attempt *)
+  on_insert : Driver.t -> block:int -> unit;  (* a fetched block became resident *)
+  on_evict : Driver.t -> block:int -> unit;  (* a resident block was dropped *)
 }
 
 (* A policy with no-op hooks, for partial overrides. *)
@@ -191,302 +163,19 @@ type outcome = {
   schedule : Fetch_op.t list option;
 }
 
-(* Read API for policies. *)
-
-let cursor t = t.cursor
-let time t = t.time
-let fetch_time t = t.fetch_time
-let cache_size t = t.k
-let window t = t.window
-let lookahead_end t = Win_ref.filled t.wr
-let request_at t p = Win_ref.block_at t.wr p
-let exhausted t = t.exhausted
-let max_block_seen t = t.max_block_seen
-
-let in_cache t b = Hashtbl.mem t.resident b
-let cache_count t = t.cache_count
-let disk_busy t = t.fly_block >= 0
-let block_in_flight t b = t.fly_block = b
-
-let has_free_slot t = t.cache_count + (if t.fly_block >= 0 then 1 else 0) < t.k
-let cache_full t = not (has_free_slot t)
-
-let next_ref t ~block ~from = Win_ref.next_at_or_after t.wr block ~from
-let prev_ref t ~block ~before = Win_ref.prev_before t.wr block ~before
-
-let missing_at t p =
-  let b = Win_ref.block_at t.wr p in
-  not (Hashtbl.mem t.resident b || t.fly_block = b)
-
-(* First window position >= cursor whose block is neither cached nor in
-   flight, or None within the lookahead.  Monotone-frontier accelerated
-   exactly like the batch Fast engine: positions in [cursor,
-   missing_from) are known non-missing, and the only transition that
-   re-opens one is an eviction, which clamps the frontier. *)
-let next_missing t =
-  let hi = Win_ref.filled t.wr in
-  let rec scan p = if p >= hi then None else if missing_at t p then Some p else scan (p + 1) in
-  let start = Stdlib.max t.missing_from t.cursor in
-  let r = scan start in
-  t.missing_from <- (match r with Some p -> p | None -> hi);
-  r
-
-(* The cached block whose next in-window reference measured from [from]
-   is furthest in the future; ties towards the smallest block id,
-   matching the batch Reference scan's ascending strict-[>] semantics.
-   Blocks not referenced within the window score {!horizon}.
-
-   Heap-accelerated exactly like the batch Fast engine: live keys are
-   measured from the cursor, so for [from > cursor] (Delay's d' offset)
-   the blocks whose key undershoots are precisely those referenced at
-   window positions [cursor, from) - a short linear pass re-scores them,
-   and the heap top covers every block with key >= from. *)
-let furthest_cached t ~from =
-  let best = ref (-1) and best_next = ref (-1) in
-  let consider b nx =
-    if nx > !best_next || (nx = !best_next && b < !best) then begin
-      best_next := nx;
-      best := b
-    end
-  in
-  let hi = Stdlib.min from (Win_ref.filled t.wr) in
-  for p = t.cursor to hi - 1 do
-    let b = Win_ref.block_at t.wr p in
-    if Hashtbl.mem t.resident b then consider b (Win_ref.next_at_or_after t.wr b ~from)
-  done;
-  (match Evict_heap.peek t.heap with
-   | Some (b, key) when key >= from -> consider b key
-   | Some _ | None -> ());
-  if !best < 0 then None else Some (!best, !best_next)
-
-(* Block ids are unbounded in a stream, but the heap indexes per-block
-   stamps by id: double its capacity past the largest id seen, re-adding
-   the live entries (O(k log k), amortized away by the doubling). *)
-let ensure_heap_cap t b =
-  if b >= t.heap_cap then begin
-    let cap = Stdlib.max (2 * t.heap_cap) (b + 1) in
-    let heap = Evict_heap.create ~num_blocks:cap in
-    Hashtbl.iter
-      (fun blk () ->
-         Evict_heap.add heap ~block:blk ~key:(Win_ref.next_at_or_after t.wr blk ~from:t.cursor))
-      t.resident;
-    t.heap <- heap;
-    t.heap_cap <- cap
-  end
-
-(* Residency changes flow through these two so the table, the heap and
-   the count can never drift. *)
-let cache_add t b =
-  Hashtbl.replace t.resident b ();
-  ensure_heap_cap t b;
-  Evict_heap.add t.heap ~block:b ~key:(Win_ref.next_at_or_after t.wr b ~from:t.cursor);
-  t.cache_count <- t.cache_count + 1
-
-let cache_remove t b =
-  Hashtbl.remove t.resident b;
-  Evict_heap.remove t.heap ~block:b;
-  t.cache_count <- t.cache_count - 1
-
-let internal_error t fmt =
-  Printf.ksprintf
-    (fun msg ->
-       Simulate.internal_error ~component:"stream"
-         "%s (t=%d r%d window [%d,%d) in-flight %s)" msg t.time (t.cursor + 1) t.cursor
-         (Win_ref.filled t.wr)
-         (if t.fly_block >= 0 then Printf.sprintf "b%d until %d" t.fly_block t.fly_end else "none"))
-    fmt
-
-(* Initiate a fetch at the current instant (policies and the demand path
-   both land here). *)
-let start_fetch t ~block ~evict =
-  if t.fly_block >= 0 then internal_error t "fetch of b%d while disk busy" block;
-  if Hashtbl.mem t.resident block then internal_error t "fetch of b%d already resident" block;
-  (match evict with
-   | Some e ->
-     if not (Hashtbl.mem t.resident e) then
-       internal_error t "eviction of b%d which is not resident" e;
-     (* The eviction re-opens e's in-window references: clamp the
-        missing frontier back to its next one. *)
-     let q = Win_ref.next_at_or_after t.wr e ~from:t.cursor in
-     if q < t.missing_from then t.missing_from <- q;
-     cache_remove t e;
-     (match t.hooks with Some h -> h.on_evict t ~block:e | None -> ())
-   | None ->
-     if t.cache_count >= t.k then internal_error t "fetch of b%d with no free slot" block);
-  if t.record_schedule then
-    t.ops_rev <-
-      Fetch_op.make ~at_cursor:t.cursor ~delay:(t.time - t.reach_cur) ~block ~evict ()
-      :: t.ops_rev;
-  t.fly_block <- block;
-  t.fly_end <- t.time + t.fetch_time;
-  t.fetches <- t.fetches + 1;
-  if Event_log.enabled () then
-    Event_log.record
-      (Event_log.Fetch_issue { time = t.time; cursor = t.cursor; block; disk = 0; evict })
-
-(* ------------------------------------------------------------------ *)
-(* Run loop. *)
-
-let create ~k ~fetch_time ~window ~record_schedule ~initial_cache src =
-  if k < 1 then invalid_arg "Stream.run: cache size must be >= 1";
-  if fetch_time < 1 then invalid_arg "Stream.run: fetch time must be >= 1";
-  if window < 1 then invalid_arg "Stream.run: window must be >= 1";
-  let t =
-    { k;
-      fetch_time;
-      window;
-      record_schedule;
-      src;
-      wr = Win_ref.create ();
-      exhausted = false;
-      time = 0;
-      cursor = 0;
-      resident = Hashtbl.create 64;
-      heap = Evict_heap.create ~num_blocks:64;
-      heap_cap = 64;
-      cache_count = 0;
-      fly_block = -1;
-      fly_end = 0;
-      reach_cur = 0;
-      missing_from = 0;
-      found_upto = 0;
-      max_block_seen = -1;
-      ops_rev = [];
-      stall = 0;
-      served = 0;
-      fetches = 0;
-      demand_fetches = 0;
-      refills = 0;
-      pulled = 0;
-      hooks = None }
-  in
-  List.iter
-    (fun b ->
-       if Hashtbl.mem t.resident b then invalid_arg "Stream.run: duplicate initial cache block";
-       cache_add t b)
-    initial_cache;
-  if t.cache_count > k then invalid_arg "Stream.run: initial cache exceeds cache size";
-  t
-
-let refill t =
-  let added = ref 0 in
-  let continue = ref true in
-  while !continue && Win_ref.filled t.wr - t.cursor < t.window do
-    match t.src.pull () with
-    | Some b ->
-      if b < 0 then invalid_arg (Printf.sprintf "Stream: negative block id %d in source" b);
-      let p = Win_ref.filled t.wr in
-      Win_ref.push t.wr b;
-      if b > t.max_block_seen then t.max_block_seen <- b;
-      ensure_heap_cap t b;
-      (* If a resident block just gained its first in-window reference,
-         its eviction key drops from horizon to this position. *)
-      if Evict_heap.key_of t.heap b = Win_ref.horizon then Evict_heap.add t.heap ~block:b ~key:p;
-      incr added
-    | None ->
-      t.exhausted <- true;
-      continue := false
-  done;
-  if !added > 0 then begin
-    t.refills <- t.refills + 1;
-    t.pulled <- t.pulled + !added;
-    if Event_log.enabled () then
-      Event_log.record
-        (Event_log.Window_refill
-           { time = t.time; cursor = t.cursor; filled = Win_ref.filled t.wr; added = !added })
-  end
-
-let finished t = t.exhausted && t.cursor >= Win_ref.filled t.wr
-
-let tick_completion t =
-  if t.fly_block >= 0 && t.fly_end = t.time then begin
-    let b = t.fly_block in
-    t.fly_block <- -1;
-    cache_add t b;
-    if Event_log.enabled () then
-      Event_log.record (Event_log.Fetch_complete { time = t.time; block = b; disk = 0 });
-    match t.hooks with Some h -> h.on_insert t ~block:b | None -> ()
-  end
-
-let fire_on_find t =
-  if t.found_upto <= t.cursor && t.cursor < Win_ref.filled t.wr then begin
-    t.found_upto <- t.cursor + 1;
-    let b = Win_ref.block_at t.wr t.cursor in
-    match t.hooks with
-    | Some h -> h.on_find t ~block:b ~hit:(Hashtbl.mem t.resident b)
-    | None -> ()
-  end
-
-(* Built-in demand fetch: covers a cursor miss the policy left open.
-   Never fires for the ported window-omniscient policies (they always
-   fetch the next missing block first); it is what lets purely
-   speculative history policies run without deadlocking. *)
-let demand_fetch t =
-  if t.fly_block < 0 && t.cursor < Win_ref.filled t.wr then begin
-    let b = Win_ref.block_at t.wr t.cursor in
-    if not (Hashtbl.mem t.resident b) then begin
-      let evict =
-        if has_free_slot t then None
-        else
-          match furthest_cached t ~from:t.cursor with
-          | Some (e, _) -> Some e
-          | None -> internal_error t "demand fetch of b%d with full empty cache" b
-      in
-      t.demand_fetches <- t.demand_fetches + 1;
-      start_fetch t ~block:b ~evict
-    end
-  end
-
-let advance t =
-  let b = Win_ref.block_at t.wr t.cursor in
-  if Hashtbl.mem t.resident b then begin
-    t.cursor <- t.cursor + 1;
-    t.time <- t.time + 1;
-    t.reach_cur <- t.time;
-    t.served <- t.served + 1;
-    Win_ref.drop_below t.wr t.cursor;
-    (* The serve consumed b's nearest reference: re-key to the next one. *)
-    Evict_heap.add t.heap ~block:b ~key:(Win_ref.next_at_or_after t.wr b ~from:t.cursor)
-  end
-  else begin
-    if t.fly_block < 0 then
-      internal_error t "stall with idle disk awaiting b%d (engine bug)" b;
-    t.stall <- t.stall + 1;
-    t.time <- t.time + 1
-  end
-
-let flush_stats (t : t) =
-  if Telemetry.enabled () then begin
-    let c name v = Telemetry.add (Telemetry.counter name) v in
-    c "stream.runs" 1;
-    c "stream.requests" t.served;
-    c "stream.pulled" t.pulled;
-    c "stream.refills" t.refills;
-    c "stream.fetches" t.fetches;
-    c "stream.demand_fetches" t.demand_fetches;
-    c "stream.stall_units" t.stall
-  end
-
 let run ?(record_schedule = false) ?(initial_cache = []) ~k ~fetch_time ~window src
     (pol : policy) : outcome =
-  let t = create ~k ~fetch_time ~window ~record_schedule ~initial_cache src in
-  t.hooks <- Some pol;
-  refill t;
-  while not (finished t) do
-    tick_completion t;
-    fire_on_find t;
-    pol.prefetch t;
-    demand_fetch t;
-    advance t;
-    refill t
-  done;
-  flush_stats t;
+  let d =
+    Driver.run_stream ~k ~fetch_time ~window ~record_schedule ~initial_cache
+      ~hooks:{ Driver.on_find = pol.on_find; on_insert = pol.on_insert; on_evict = pol.on_evict }
+      ~decide:pol.prefetch src.pull
+  in
   { policy = pol.policy_name;
-    window_used = t.window;
-    stall_time = t.stall;
-    elapsed_time = t.time;
-    served = t.served;
-    fetches = t.fetches;
-    demand_fetches = t.demand_fetches;
-    refills = t.refills;
-    schedule = (if record_schedule then Some (List.rev t.ops_rev) else None) }
+    window_used = window;
+    stall_time = Driver.stall_time d;
+    elapsed_time = Driver.time d;
+    served = Driver.cursor d;
+    fetches = Driver.fetches d;
+    demand_fetches = Driver.demand_fetches d;
+    refills = Driver.refills d;
+    schedule = (if record_schedule then Some (Driver.schedule d) else None) }

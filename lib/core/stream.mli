@@ -1,22 +1,25 @@
-(** Streaming request engine: online prefetching with bounded lookahead.
+(** Streaming runs: online prefetching with bounded lookahead.
 
-    The batch {!Driver} is omniscient — it consumes a whole
+    A batch run ({!Driver.run}) is omniscient - it indexes a whole
     {!Instance.t} with {!Next_ref} precomputed over the full sequence.
-    This engine models the paper's online setting instead: requests
+    A streaming run models the paper's online setting instead: requests
     arrive one at a time from a pull-based {!source} (possibly endless),
-    and the scheduler sees only a sliding lookahead window of [window]
+    and the rule sees only a sliding lookahead window of [window]
     requests past the cursor.  Next-reference knowledge is truncated at
     the window edge: a block not referenced within the window scores
-    {!horizon}, exactly as the batch engine's one-past-the-end sentinel
-    scores a block never referenced again.
+    {!Win_ref.horizon}, exactly as the batch run's one-past-the-end
+    sentinel scores a block never referenced again.
 
-    Policies attach through libCacheSim-style hooks (a {!policy} record:
-    [prefetch] / [on_find] / [on_insert] / [on_evict]); the built-in
-    ports of Aggressive and Delay(d) and the history-based competitors
-    live in {!Prefetcher}.
+    Both kinds of run share {!Driver}'s instant loop; {!run} selects the
+    windowed index together with the stream-only parts (observer hooks,
+    demand fetch, window refill).  Policies attach through
+    libCacheSim-style hooks (a {!policy} record: [prefetch] / [on_find]
+    / [on_insert] / [on_evict]); the built-in policies - Aggressive and
+    Delay(d) as the very rules the batch schedulers run, and the
+    history-based competitors - live in {!Prefetcher}.
 
-    At [window = n] (full trace in view) a ported policy produces a
-    schedule byte-identical to its batch twin — pinned by the [Stream]
+    At [window = n] (full trace in view) Aggressive and Delay(d) produce
+    schedules byte-identical to the batch runs - pinned by the [Stream]
     oracle class in lib/check across the fuzz corpus.  Memory stays
     O(window + cache) regardless of trace length: no full-trace arrays
     are ever materialized. *)
@@ -44,7 +47,9 @@ val take : int -> source -> source
     consumes one [Random.State] in request order with the same sampling
     discipline as its batch counterpart, so [take n] of a twin yields
     exactly the batch generator's length-[n] sequence (a tested
-    invariant). *)
+    invariant).  Each raises {!Instance.Invalid} if [num_blocks < 1]
+    ([phase_shift] also if [phase_len < 1] or [working_set] lies outside
+    [[1, num_blocks]]). *)
 
 val uniform : seed:int -> num_blocks:int -> source
 val zipf : seed:int -> alpha:float -> num_blocks:int -> source
@@ -52,29 +57,27 @@ val sequential_scan : num_blocks:int -> source
 val phase_shift :
   seed:int -> num_blocks:int -> phase_len:int -> working_set:int -> source
 
-(** {1 Engine state, as visible to policies} *)
-
-type t
-(** A running streaming engine.  Policies receive it in every hook; the
-    accessors below are their whole world — notably there is no access
-    to requests at or beyond {!lookahead_end}. *)
-
 (** {1 Policies} *)
 
 type policy = {
   policy_name : string;
-  prefetch : t -> unit;
-      (** Called once per instant, before the engine's demand fetch.
-          The disk may be busy; use {!disk_busy}.  May call
-          {!start_fetch} at most once (the single disk). *)
-  on_find : t -> block:int -> hit:bool -> unit;
+  prefetch : Driver.t -> unit;
+      (** The decide callback, called once per instant before the
+          engine's demand fetch; it reads the engine through {!Driver}'s
+          window-safe queries.  The disk may be busy; use
+          {!Driver.disk_busy}.  May call {!Driver.start_fetch} at most
+          once (the single disk).  It must keep {!Driver.run}'s decide
+          contract: do nothing while the disk is busy, and never read
+          the raw clock - the engine skips instants the contract proves
+          are no-ops. *)
+  on_find : Driver.t -> block:int -> hit:bool -> unit;
       (** Called exactly once per request, the first instant the cursor
-          reaches it — before [prefetch] that instant.  [hit] is
+          reaches it - before [prefetch] that instant.  [hit] is
           residency at that first attempt (an in-flight block counts as
           a miss). *)
-  on_insert : t -> block:int -> unit;
+  on_insert : Driver.t -> block:int -> unit;
       (** A fetched block just became resident. *)
-  on_evict : t -> block:int -> unit;
+  on_evict : Driver.t -> block:int -> unit;
       (** A resident block was just dropped. *)
 }
 
@@ -82,76 +85,6 @@ val passive_policy : string -> policy
 (** All hooks no-ops: pure demand paging (the engine's built-in demand
     fetch does the work).  Use with record update [{ (passive_policy
     name) with prefetch = ... }] for partial overrides. *)
-
-(** {1 Accessors (policy-facing)} *)
-
-val horizon : int
-(** Alias of {!Win_ref.horizon}: the next-reference answer for a block
-    not referenced within the lookahead window. *)
-
-val cursor : t -> int
-(** Requests served so far; the next request is at this position. *)
-
-val time : t -> int
-val fetch_time : t -> int
-val cache_size : t -> int
-val window : t -> int
-
-val lookahead_end : t -> int
-(** One past the last known request position (the window edge).
-    Knowledge of the request sequence stops here. *)
-
-val request_at : t -> int -> int
-(** Block at an absolute position in [[cursor, lookahead_end)).
-    @raise Invalid_argument outside the window. *)
-
-val exhausted : t -> bool
-(** The source has returned [None]; [lookahead_end] is final. *)
-
-val max_block_seen : t -> int
-(** Largest block id pulled so far ([-1] before the first), counting
-    requests already consumed.  History policies use it to bound
-    speculative predictions to blocks known to exist. *)
-
-val in_cache : t -> int -> bool
-val cache_count : t -> int
-val disk_busy : t -> bool
-val block_in_flight : t -> int -> bool
-(** Whether this specific block is currently being fetched. *)
-
-val has_free_slot : t -> bool
-(** A fetch could start without eviction: resident blocks plus any
-    in-flight fetch leave a slot free. *)
-
-val cache_full : t -> bool
-(** [not (has_free_slot t)]. *)
-
-val next_ref : t -> block:int -> from:int -> int
-(** First in-window position [>= from] requesting [block], or
-    {!horizon}. *)
-
-val prev_ref : t -> block:int -> before:int -> int
-(** Last in-window position [< before] requesting [block], or [-1]. *)
-
-val next_missing : t -> int option
-(** First window position [>= cursor] whose block is neither resident
-    nor in flight, or [None] within the current lookahead.  Amortized
-    O(1) via a monotone frontier, mirroring the batch Fast engine. *)
-
-val furthest_cached : t -> from:int -> (int * int) option
-(** The resident block whose next in-window reference at or after
-    [from] is furthest in the future (unreferenced blocks score
-    {!horizon}), with that position; ties break towards the smallest
-    block id, matching the batch Reference semantics.  [None] iff the
-    cache is empty. *)
-
-val start_fetch : t -> block:int -> evict:int option -> unit
-(** Initiate a fetch at the current instant; the block becomes resident
-    {!fetch_time} units later.  [evict] is dropped immediately (firing
-    [on_evict]); [None] consumes a free slot.  Raises
-    {!Simulate.Internal_error} (component ["stream"]) on an illegal
-    fetch: disk busy, block already resident, victim not resident, or
-    no free slot without a victim. *)
 
 (** {1 Running} *)
 
@@ -176,16 +109,17 @@ val run :
   source ->
   policy ->
   outcome
-(** Drive the source to exhaustion under the policy.  Each instant runs
-    [tick_completion; on_find; prefetch; demand fetch; advance; refill]
-    — the batch Reference loop with the window maintenance threaded
-    through it.  The built-in demand fetch covers a cursor miss the
-    policy left open (only when the disk is idle), so purely speculative
-    policies cannot deadlock; for the ported window-omniscient policies
-    it never fires.  [record_schedule] (default [false]) accumulates the
-    {!Fetch_op.t} list — leave it off for endless or huge traces, the
-    engine is otherwise constant-memory.  [initial_cache] pre-populates
-    residency (default cold).
+(** Drive the source to exhaustion under the policy, on
+    {!Driver.run_stream}.  Each instant runs [completions; on_find;
+    prefetch; demand fetch; serve or stall; refill], and instants the
+    decide contract proves are no-ops are skipped as in batch runs.  The
+    built-in demand fetch covers a cursor miss the policy left open
+    (only when the disk is idle), so purely speculative policies cannot
+    deadlock; for Aggressive and Delay(d) it never fires.
+    [record_schedule] (default [false]) accumulates the {!Fetch_op.t}
+    list — leave it off for endless or huge traces, the engine is
+    otherwise constant-memory.  [initial_cache] pre-populates residency
+    (default cold).
 
-    @raise Invalid_argument if [k < 1], [fetch_time < 1], [window < 1],
+    @raise Instance.Invalid if [k < 1], [fetch_time < 1], [window < 1],
     the initial cache is invalid, or the source yields a negative id. *)

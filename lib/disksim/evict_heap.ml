@@ -18,8 +18,8 @@ type t = {
   mutable blk : int array;   (* heap slot -> block *)
   mutable stp : int array;   (* heap slot -> stamp at push time *)
   mutable len : int;
-  stamp : int array;         (* block -> current stamp; entries with an older stamp are stale *)
-  key_of : int array;        (* block -> its live key, or -1 if not in the heap *)
+  mutable stamp : int array; (* block -> current stamp; entries with an older stamp are stale *)
+  mutable key_of : int array; (* block -> its live key, or -1 if not in the heap *)
   mutable live : int;        (* number of blocks with a live entry *)
   (* Lifetime stats, unconditionally maintained (plain int increments);
      the driver flushes them into telemetry counters once per run. *)
@@ -39,6 +39,13 @@ let create ~num_blocks =
     pushes = 0;
     stale_pops = 0;
     compactions = 0 }
+
+let widen t ~num_blocks =
+  let extend a fill = Array.append a (Array.make (num_blocks - Array.length a) fill) in
+  if num_blocks > Array.length t.stamp then begin
+    t.stamp <- extend t.stamp 0;
+    t.key_of <- extend t.key_of (-1)
+  end
 
 let size t = t.live
 let heap_load t = t.len

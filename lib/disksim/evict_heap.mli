@@ -15,6 +15,10 @@ type t
 
 val create : num_blocks:int -> t
 
+val widen : t -> num_blocks:int -> unit
+(** Admit block ids below [num_blocks], keeping every entry and
+    counter (a stream's ids grow as requests arrive). *)
+
 val add : t -> block:int -> key:int -> unit
 (** Insert [block] with [key], superseding any previous entry for
     [block] (re-keying is just another [add]).

@@ -22,6 +22,9 @@ val num_blocks : t -> int
 
 exception Invalid of string
 
+val invalidf : ('a, unit, string, 'b) format4 -> 'a
+(** [invalidf fmt ...] raises {!Invalid} with the formatted message. *)
+
 val validate : t -> t
 (** @raise Invalid when any structural invariant fails. *)
 

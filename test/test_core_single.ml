@@ -270,6 +270,34 @@ let test_driver_deadlock_is_internal_error () =
   | exception Simulate.Internal_error { component; _ } ->
     Alcotest.(check string) "component" "driver" component
 
+(* An illegal fetch from a decide callback is an internal error with the
+   time, cursor and block in its reason - never an [Assert_failure]. *)
+let test_driver_illegal_fetches () =
+  let inst = Instance.single_disk ~k:2 ~fetch_time:3 ~initial_cache:[ 0 ] [| 0; 1; 2; 1 |] in
+  let contains hay needle =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+    go 0
+  in
+  let expect name ~block decide =
+    match Driver.run inst ~decide with
+    | _ -> Alcotest.failf "%s: run returned" name
+    | exception Simulate.Internal_error { component; reason } ->
+      Alcotest.(check string) (name ^ ": component") "driver" component;
+      List.iter
+        (fun needle ->
+           if not (contains reason needle) then
+             Alcotest.failf "%s: reason %S lacks %S" name reason needle)
+        [ "t=0"; "r1"; Printf.sprintf "b%d" block ]
+  in
+  expect "busy disk" ~block:2 (fun d ->
+      if not (Driver.disk_busy d 0) then begin
+        Driver.start_fetch d ~block:1 ~evict:None;
+        Driver.start_fetch d ~block:2 ~evict:None
+      end);
+  expect "resident block" ~block:0 (fun d -> Driver.start_fetch d ~block:0 ~evict:None);
+  expect "victim not resident" ~block:2 (fun d -> Driver.start_fetch d ~block:1 ~evict:(Some 2))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_schedules_valid; prop_delay0_is_aggressive; prop_delay_inf_is_conservative;
@@ -294,5 +322,7 @@ let () =
           Alcotest.test_case "combination dominates" `Quick test_combination_dominates ] );
       ( "driver",
         [ Alcotest.test_case "deadlock raises Internal_error" `Quick
-            test_driver_deadlock_is_internal_error ] );
+            test_driver_deadlock_is_internal_error;
+          Alcotest.test_case "illegal fetches raise Internal_error" `Quick
+            test_driver_illegal_fetches ] );
       ("properties", props) ]

@@ -201,6 +201,20 @@ let test_heap_compaction () =
   Alcotest.(check (option (pair int int))) "peek correct after churn"
     (Some (2, 1_000_000)) (Evict_heap.peek h)
 
+let test_heap_widen () =
+  (* A stream's block ids outgrow the heap: widening keeps every entry,
+     its stamp and the counters, and admits the new ids. *)
+  let h = Evict_heap.create ~num_blocks:2 in
+  Evict_heap.add h ~block:0 ~key:5;
+  Evict_heap.add h ~block:1 ~key:9;
+  Evict_heap.add h ~block:1 ~key:3;
+  Evict_heap.widen h ~num_blocks:8;
+  Alcotest.(check (option (pair int int))) "entries kept" (Some (0, 5)) (Evict_heap.peek h);
+  Evict_heap.add h ~block:7 ~key:6;
+  Alcotest.(check (option (pair int int))) "new id admitted" (Some (7, 6)) (Evict_heap.peek h);
+  Alcotest.(check int) "live" 3 (Evict_heap.size h);
+  Alcotest.(check int) "pushes counted across the widen" 4 (Evict_heap.pushes h)
+
 let () =
   Alcotest.run "driver-equiv"
     [ ("fast-vs-reference",
@@ -214,4 +228,5 @@ let () =
          Alcotest.test_case "tie-break towards smaller id" `Quick test_heap_tie_break;
          Alcotest.test_case "lazy invalidation" `Quick test_heap_lazy_invalidation;
          Alcotest.test_case "rejects negative keys" `Quick test_heap_rejects_negative_keys;
-         Alcotest.test_case "compaction bounds the heap" `Quick test_heap_compaction ]) ]
+         Alcotest.test_case "compaction bounds the heap" `Quick test_heap_compaction;
+         Alcotest.test_case "widen keeps entries" `Quick test_heap_widen ]) ]

@@ -44,6 +44,29 @@ let test_take_and_exhaustion () =
     (drain (S.take 2 (S.sequential_scan ~num_blocks:9)));
   Alcotest.(check (list int)) "take beyond end" [ 5; 6 ] (drain (S.take 10 (S.of_list [ 5; 6 ])))
 
+(* Bad parameters are user input: each raises the typed
+   [Instance.Invalid] that [ipc] prints as one line, never a bare
+   [Invalid_argument], [Division_by_zero] or a silent run. *)
+let test_invalid_parameters () =
+  let invalid name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Instance.Invalid _ -> ()
+  in
+  let run ~k ~fetch_time ~window () =
+    S.run ~k ~fetch_time ~window (S.of_list [ 0; 1 ]) (P.aggressive ())
+  in
+  invalid "k = 0" (run ~k:0 ~fetch_time:2 ~window:4);
+  invalid "F = 0" (run ~k:2 ~fetch_time:0 ~window:4);
+  invalid "window = 0" (run ~k:2 ~fetch_time:2 ~window:0);
+  invalid "uniform, 0 blocks" (fun () -> S.uniform ~seed:1 ~num_blocks:0);
+  invalid "zipf, 0 blocks" (fun () -> S.zipf ~seed:1 ~alpha:0.9 ~num_blocks:0);
+  invalid "scan, 0 blocks" (fun () -> S.sequential_scan ~num_blocks:0);
+  invalid "phase_shift, 0 blocks" (fun () ->
+      S.phase_shift ~seed:1 ~num_blocks:0 ~phase_len:10 ~working_set:4);
+  invalid "negative block id" (fun () ->
+      S.run ~k:2 ~fetch_time:2 ~window:4 (S.of_list [ 0; -3 ]) (P.aggressive ()))
+
 (* ------------------------------------------------------------------ *)
 (* Registry. *)
 
@@ -204,7 +227,8 @@ let () =
   Alcotest.run "stream"
     [ ("sources",
        [ Alcotest.test_case "generator twins" `Quick test_source_twins;
-         Alcotest.test_case "take / exhaustion" `Quick test_take_and_exhaustion ]);
+         Alcotest.test_case "take / exhaustion" `Quick test_take_and_exhaustion;
+         Alcotest.test_case "invalid parameters" `Quick test_invalid_parameters ]);
       ("registry", [ Alcotest.test_case "registry" `Quick test_registry ]);
       ("equivalence",
        Alcotest.test_case "ck_gen corpus full-window + replay" `Slow test_corpus_full_window
