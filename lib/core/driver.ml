@@ -148,19 +148,6 @@ and hooks = {
 (* ------------------------------------------------------------------ *)
 (* Index queries: one [match] each. *)
 
-let request_at d p =
-  match d.index with Full f -> f.seq.(p) | Win w -> Win_ref.block_at w.wr p
-
-let next_ref d ~block ~from =
-  match d.index with
-  | Full f -> Next_ref.next_at_or_after f.nr block from
-  | Win w -> Win_ref.next_at_or_after w.wr block ~from
-
-let prev_ref d ~block ~before =
-  match d.index with
-  | Full f -> Next_ref.prev_before f.nr block before
-  | Win w -> Win_ref.prev_before w.wr block ~before
-
 let component d = match d.index with Full _ -> "driver" | Win _ -> "stream"
 
 let internal_error d fmt =
@@ -171,6 +158,25 @@ let internal_error d fmt =
          d.limit
          (String.concat "; " (Array.to_list (Array.map string_of_int d.fly_block))))
     fmt
+
+(* A stream knows only the window [cursor, limit); [Win_ref] leaves
+   reads outside it unchecked. *)
+let request_at d p =
+  match d.index with
+  | Full f -> f.seq.(p)
+  | Win w ->
+    if p < d.cursor || p >= d.limit then internal_error d "read of r%d outside the window" (p + 1);
+    Win_ref.block_at w.wr p
+
+let next_ref d ~block ~from =
+  match d.index with
+  | Full f -> Next_ref.next_at_or_after f.nr block from
+  | Win w -> Win_ref.next_at_or_after w.wr block ~from
+
+let prev_ref d ~block ~before =
+  match d.index with
+  | Full f -> Next_ref.prev_before f.nr block before
+  | Win w -> Win_ref.prev_before w.wr block ~before
 
 (* ------------------------------------------------------------------ *)
 (* Cache state. *)

@@ -112,7 +112,9 @@ val lookahead_end : t -> int
 val request_at : t -> int -> int
 (** Block requested at a known position.  In a stream only
     [[cursor, lookahead_end)) is known.
-    @raise Invalid_argument outside the known positions. *)
+    @raise Simulate.Internal_error (component [stream]) outside that
+    window in a stream; [Invalid_argument] outside the trace in a batch
+    run. *)
 
 val next_ref : t -> block:int -> from:int -> int
 (** First known position [>= from] requesting [block].  A block not

@@ -69,42 +69,54 @@ let obl () : Stream.policy =
 
 (* First-order Markov predictor (Mithril-style frequency mining, one
    level deep): count observed successors per block, prefetch the most
-   frequent successor of the block just referenced.  Ties break towards
-   the smallest block id for determinism. *)
+   frequent successor of the block just referenced, ties towards the
+   smallest block id for determinism.
+
+   Each block keeps that argmax up to date as its counts change, so a
+   request costs two table lookups, not a scan of the successor table.
+   A count only ever grows by one, so the incremented successor takes
+   over exactly when its new count beats the best's, or equals it with
+   a smaller id; no other block's standing changes. *)
+type successors = {
+  counts : (int, int ref) Hashtbl.t;
+  mutable best : int;  (* -1 until the first successor is seen *)
+  mutable best_n : int;
+}
+
 let markov () : Stream.policy =
-  let succ : (int, (int, int ref) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  let prev = ref (-1) in
-  let want = ref (-1) in
-  let best_successor b =
-    match Hashtbl.find_opt succ b with
-    | None -> -1
-    | Some tbl ->
-      let best = ref (-1) and best_n = ref 0 in
-      Hashtbl.iter
-        (fun s n ->
-           if !n > !best_n || (!n = !best_n && (!best < 0 || s < !best)) then begin
-             best_n := !n;
-             best := s
-           end)
-        tbl;
-      !best
+  let succ : (int, successors) Hashtbl.t = Hashtbl.create 64 in
+  let successors_of b =
+    match Hashtbl.find succ b with
+    | s -> s
+    | exception Not_found ->
+      let s = { counts = Hashtbl.create 4; best = -1; best_n = 0 } in
+      Hashtbl.add succ b s;
+      s
   in
+  (* The previous request's table; [none] before the first request. *)
+  let none = { counts = Hashtbl.create 1; best = -1; best_n = 0 } in
+  let prev = ref none in
+  let want = ref (-1) in
   let on_find _t ~block ~hit:_ =
-    if !prev >= 0 then begin
-      let tbl =
-        match Hashtbl.find_opt succ !prev with
-        | Some tbl -> tbl
-        | None ->
-          let tbl = Hashtbl.create 4 in
-          Hashtbl.add succ !prev tbl;
-          tbl
+    let p = !prev in
+    if p != none then begin
+      let n =
+        match Hashtbl.find p.counts block with
+        | c ->
+          incr c;
+          !c
+        | exception Not_found ->
+          Hashtbl.add p.counts block (ref 1);
+          1
       in
-      (match Hashtbl.find_opt tbl block with
-       | Some n -> incr n
-       | None -> Hashtbl.add tbl block (ref 1))
+      if n > p.best_n || (n = p.best_n && block < p.best) then begin
+        p.best <- block;
+        p.best_n <- n
+      end
     end;
-    prev := block;
-    want := best_successor block
+    let s = successors_of block in
+    prev := s;
+    want := s.best
   in
   let prefetch d = try_speculative d ~want:!want in
   { (Stream.passive_policy "markov") with prefetch; on_find }

@@ -17,8 +17,8 @@
    the same rules in both modes, at [w = n] their streaming schedules
    are byte-identical to the batch ones - the streaming oracle class in
    lib/check pins this across the fuzz corpus.  No full-trace arrays
-   are held: memory is O(window + cache + block universe of the
-   resident set), so endless traces stream in constant space. *)
+   are held: memory is O(window + cache + largest block id), so endless
+   traces over a bounded block universe stream in constant space. *)
 
 (* ------------------------------------------------------------------ *)
 (* Sources. *)

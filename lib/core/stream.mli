@@ -21,8 +21,8 @@
     At [window = n] (full trace in view) Aggressive and Delay(d) produce
     schedules byte-identical to the batch runs - pinned by the [Stream]
     oracle class in lib/check across the fuzz corpus.  Memory stays
-    O(window + cache) regardless of trace length: no full-trace arrays
-    are ever materialized. *)
+    O(window + cache + largest block id) regardless of trace length: no
+    full-trace arrays are ever materialized. *)
 
 (** {1 Sources} *)
 

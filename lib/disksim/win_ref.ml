@@ -2,17 +2,24 @@
 
    The batch engine precomputes {!Next_ref} over the whole sequence; a
    streaming scheduler only ever knows the requests inside its bounded
-   lookahead window [cursor, filled).  This structure maintains exactly
-   that knowledge in O(window) memory:
+   lookahead window [lo, hi).  This structure maintains exactly that
+   knowledge, with no allocation once it has grown to the window and the
+   block ids:
 
-   - a circular buffer of the window's request blocks by absolute
-     position (so [block_at] is O(1)), and
-   - per-block ascending position deques (so next/previous-reference
-     queries are binary searches over a block's in-window occurrences).
+   - two rings indexed by absolute position (a power-of-two size, so a
+     position's slot is [p land mask]): the block requested there, and
+     the next in-window position of the same block ([horizon] for the
+     block's last one), so each block's in-window occurrences form an
+     ascending chain;
+   - two arrays indexed by block id: the first and last in-window
+     position of each block ([horizon] and [-1] when it has none).  They
+     double as larger ids arrive, like the engine's own per-block
+     arrays.
 
-   Amortized O(1) per pushed/consumed position: when the window's low
-   edge advances past a position, that position is popped from the front
-   of its block's deque, so dead entries never accumulate.
+   [push] appends to the block's chain and [drop_below] pops the chain's
+   head, each O(1).  A query from the window's low edge reads [first]
+   directly; one from further in walks the block's chain below its
+   bound.
 
    Positions at or beyond the window edge are unknowable; queries answer
    {!horizon} ("not referenced within the lookahead"), which comparisons
@@ -20,102 +27,96 @@
 
 let horizon = max_int
 
-(* Growable circular int deque (ascending absolute positions). *)
-type dq = { mutable a : int array; mutable head : int; mutable len : int }
-
-let dq_create () = { a = Array.make 4 0; head = 0; len = 0 }
-let dq_get q i = q.a.((q.head + i) mod Array.length q.a)
-
-let dq_push_back q v =
-  let cap = Array.length q.a in
-  if q.len = cap then begin
-    let a' = Array.make (2 * cap) 0 in
-    for i = 0 to q.len - 1 do
-      a'.(i) <- dq_get q i
-    done;
-    q.a <- a';
-    q.head <- 0
-  end;
-  q.a.((q.head + q.len) mod Array.length q.a) <- v;
-  q.len <- q.len + 1
-
-let dq_pop_front q =
-  let v = q.a.(q.head) in
-  q.head <- (q.head + 1) mod Array.length q.a;
-  q.len <- q.len - 1;
-  v
-
-(* First index with value >= [x], or [len]. *)
-let dq_lower_bound q x =
-  let lo = ref 0 and hi = ref q.len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if dq_get q mid >= x then hi := mid else lo := mid + 1
-  done;
-  !lo
-
 type t = {
-  mutable buf : int array;  (* circular by absolute position *)
+  mutable blocks : int array;  (* ring: block at each in-window position *)
+  mutable next : int array;  (* ring: next in-window position of the same block, or horizon *)
+  mutable mask : int;  (* ring size - 1 *)
   mutable lo : int;  (* lowest retained absolute position *)
   mutable hi : int;  (* next absolute position to be pushed *)
-  pos : (int, dq) Hashtbl.t;  (* block -> ascending in-window positions *)
+  mutable first : int array;  (* block -> first in-window position, or horizon *)
+  mutable last : int array;  (* block -> last in-window position, or -1 *)
 }
 
-let create () = { buf = Array.make 64 0; lo = 0; hi = 0; pos = Hashtbl.create 64 }
+let create () =
+  { blocks = Array.make 64 0;
+    next = Array.make 64 horizon;
+    mask = 63;
+    lo = 0;
+    hi = 0;
+    first = Array.make 64 horizon;
+    last = Array.make 64 (-1) }
 
-let lo t = t.lo
-let filled t = t.hi
-let size t = t.hi - t.lo
+let block_at t p = t.blocks.(p land t.mask)
 
-let block_at t p =
-  if p < t.lo || p >= t.hi then
-    invalid_arg
-      (Printf.sprintf "Win_ref.block_at: position %d outside window [%d, %d)" p t.lo t.hi);
-  t.buf.(p mod Array.length t.buf)
+(* Double the rings; slots move because the mask changes. *)
+let grow_ring t =
+  let size = 2 * (t.mask + 1) in
+  let mask = size - 1 in
+  let blocks = Array.make size 0 and next = Array.make size horizon in
+  for p = t.lo to t.hi - 1 do
+    blocks.(p land mask) <- t.blocks.(p land t.mask);
+    next.(p land mask) <- t.next.(p land t.mask)
+  done;
+  t.blocks <- blocks;
+  t.next <- next;
+  t.mask <- mask
+
+let grow_blocks t b =
+  let len = Array.length t.first in
+  let len' = Stdlib.max (2 * len) (b + 1) in
+  let grow a fill =
+    let a' = Array.make len' fill in
+    Array.blit a 0 a' 0 len;
+    a'
+  in
+  t.first <- grow t.first horizon;
+  t.last <- grow t.last (-1)
 
 let push t b =
-  let cap = Array.length t.buf in
-  if t.hi - t.lo = cap then begin
-    let cap' = 2 * cap in
-    let buf' = Array.make cap' 0 in
-    for p = t.lo to t.hi - 1 do
-      buf'.(p mod cap') <- t.buf.(p mod cap)
-    done;
-    t.buf <- buf'
-  end;
-  t.buf.(t.hi mod Array.length t.buf) <- b;
-  let q =
-    match Hashtbl.find_opt t.pos b with
-    | Some q -> q
-    | None ->
-      let q = dq_create () in
-      Hashtbl.add t.pos b q;
-      q
-  in
-  dq_push_back q t.hi;
-  t.hi <- t.hi + 1
+  if t.hi - t.lo > t.mask then grow_ring t;
+  if b >= Array.length t.first then grow_blocks t b;
+  let p = t.hi in
+  t.blocks.(p land t.mask) <- b;
+  t.next.(p land t.mask) <- horizon;
+  let l = t.last.(b) in
+  if l < 0 then t.first.(b) <- p else t.next.(l land t.mask) <- p;
+  t.last.(b) <- p;
+  t.hi <- p + 1
 
 let drop_below t cursor =
   while t.lo < cursor do
-    let b = t.buf.(t.lo mod Array.length t.buf) in
-    (match Hashtbl.find_opt t.pos b with
-     | Some q ->
-       ignore (dq_pop_front q : int);
-       if q.len = 0 then Hashtbl.remove t.pos b
-     | None -> ());
+    let i = t.lo land t.mask in
+    let b = t.blocks.(i) in
+    let nx = t.next.(i) in
+    t.first.(b) <- nx;
+    if nx = horizon then t.last.(b) <- -1;
     t.lo <- t.lo + 1
   done
 
 let next_at_or_after t b ~from =
-  match Hashtbl.find_opt t.pos b with
-  | None -> horizon
-  | Some q ->
-    let i = dq_lower_bound q from in
-    if i >= q.len then horizon else dq_get q i
+  if b >= Array.length t.first then horizon
+  else begin
+    (* The chain ends in horizon, which stops the walk. *)
+    let p = ref t.first.(b) in
+    while !p < from do
+      p := t.next.(!p land t.mask)
+    done;
+    !p
+  end
 
 let prev_before t b ~before =
-  match Hashtbl.find_opt t.pos b with
-  | None -> -1
-  | Some q ->
-    let i = dq_lower_bound q before in
-    if i = 0 then -1 else dq_get q (i - 1)
+  if b >= Array.length t.first then -1
+  else begin
+    let l = t.last.(b) in
+    if l < before then l
+    else begin
+      (* Some occurrence lies at or beyond [before]: walk the chain from
+         its head while the next occurrence stays below [before]. *)
+      let p = ref (-1) and q = ref t.first.(b) in
+      while !q < before do
+        p := !q;
+        q := t.next.(!q land t.mask)
+      done;
+      !p
+    end
+  end

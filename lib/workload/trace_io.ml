@@ -77,10 +77,12 @@ type reader = {
   mutable lineno : int;
   mutable hdr : header;
   mutable saw_seq : bool;
-  (* Scan state for the current [seq] payload: [cur.[pos ..]] holds the
-     not-yet-consumed tail of the line (comment already stripped). *)
+  (* Scan state: [cur] is the last line read, and [cur.[pos .. stop)]
+     the not-yet-consumed rest of it after the key (comment and
+     surrounding blanks excluded). *)
   mutable cur : string;
   mutable pos : int;
+  mutable stop : int;
   mutable eof : bool;
   mutable closed : bool;
 }
@@ -112,42 +114,60 @@ let one r rest =
   | [] -> parse_error r "missing value"
   | _ :: _ -> parse_error r "trailing garbage after value: %s" (String.trim rest)
 
-(* Reads the next meaningful line; returns [Some (key, rest)] or [None] at
-   EOF.  Comments and blank lines are skipped; CRLF is rejected. *)
-let rec next_keyed_line r =
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* Reads the next meaningful line into [r.cur] and returns its key, or
+   [None] at EOF; [r.cur.[r.pos .. r.stop)] is then the rest of the line.
+   Comments and blank lines are skipped; CRLF is rejected.  Only the key
+   is copied: a [seq] payload is scanned in the line [input_line]
+   returned. *)
+let rec next_key r =
   match input_line r.ic with
   | exception End_of_file -> None
   | raw ->
     r.lineno <- r.lineno + 1;
     if String.contains raw '\r' then parse_error r "CRLF line ending (expected LF-only)";
-    let line = String.trim raw in
-    if line = "" || line.[0] = '#' then next_keyed_line r
+    (* [raw.[a .. b)]: the line cut at its first '#', then trimmed as
+       [String.trim] would. *)
+    let len = String.length raw in
+    let a = ref 0 in
+    while !a < len && is_blank raw.[!a] do
+      incr a
+    done;
+    let b = ref (match String.index_from_opt raw !a '#' with Some i -> i | None -> len) in
+    while !b > !a && is_blank raw.[!b - 1] do
+      decr b
+    done;
+    let a = !a and b = !b in
+    if a = b then next_key r
     else begin
-      let line =
-        match String.index_opt line '#' with
-        | Some i -> String.trim (String.sub line 0 i)
-        | None -> line
-      in
-      match String.index_opt line ' ' with
-      | None ->
+      r.cur <- raw;
+      r.stop <- b;
+      match String.index_from_opt raw a ' ' with
+      | Some i when i < b ->
+        r.pos <- i + 1;
+        Some (String.sub raw a (i - a))
+      | Some _ | None ->
         (* A bare [seq] line (empty payload) is legal; anything else is
            malformed. *)
-        if line = "seq" then Some ("seq", "") else parse_error r "malformed line: %s" line
-      | Some i ->
-        Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+        let line = String.sub raw a (b - a) in
+        if line <> "seq" then parse_error r "malformed line: %s" line;
+        r.pos <- b;
+        Some line
     end
+
+(* The rest of a header line, as a string of its own. *)
+let rest r = String.sub r.cur r.pos (r.stop - r.pos)
 
 (* Advances [r] to the next [seq] payload.  Called with the current
    payload exhausted. *)
 let refill r =
-  match next_keyed_line r with
+  match next_key r with
   | None -> r.eof <- true
-  | Some ("seq", rest) ->
-    r.cur <- rest;
-    r.pos <- 0
-  | Some (("k" | "f" | "disks" | "layout" | "init") as key, _) ->
+  | Some "seq" -> ()
+  | Some (("k" | "f" | "disks" | "layout" | "init") as key) ->
     parse_error r "key %s after first seq line (header must precede seq)" key
-  | Some (key, _) -> parse_error r "unknown key: %s" key
+  | Some key -> parse_error r "unknown key: %s" key
 
 let open_reader (path : string) : reader =
   let ic = open_in path in
@@ -160,6 +180,7 @@ let open_reader (path : string) : reader =
       saw_seq = false;
       cur = "";
       pos = 0;
+      stop = 0;
       eof = false;
       closed = false }
   in
@@ -172,19 +193,16 @@ let open_reader (path : string) : reader =
        | None -> cell := Some v
      in
      let rec header_loop () =
-       match next_keyed_line r with
+       match next_key r with
        | None -> ()
-       | Some ("seq", rest) ->
-         r.saw_seq <- true;
-         r.cur <- rest;
-         r.pos <- 0
-       | Some (key, rest) ->
+       | Some "seq" -> r.saw_seq <- true
+       | Some key ->
          (match key with
-          | "k" -> set "k" k (one r rest)
-          | "f" -> set "f" f (one r rest)
-          | "disks" -> set "disks" disks (one r rest)
-          | "layout" -> set "layout" layout (Array.of_list (ints r rest))
-          | "init" -> set "init" init (ints r rest)
+          | "k" -> set "k" k (one r (rest r))
+          | "f" -> set "f" f (one r (rest r))
+          | "disks" -> set "disks" disks (one r (rest r))
+          | "layout" -> set "layout" layout (Array.of_list (ints r (rest r)))
+          | "init" -> set "init" init (ints r (rest r))
           | _ -> parse_error r "unknown key: %s" key);
          header_loop ()
      in
@@ -214,24 +232,40 @@ let close_reader (r : reader) : unit =
   end
 
 (* Next token of the current payload, or [None] when the line (and, after
-   [refill], the file) is exhausted. *)
+   [refill], the file) is exhausted.  A run of at most 18 digits is read
+   in place: it cannot overflow (10^18 - 1 < max_int).  Any other token
+   goes through [strict_int] as a string of its own, which accepts or
+   reports it. *)
 let rec read_request (r : reader) : int option =
   if r.eof then None
   else begin
-    let len = String.length r.cur in
-    while r.pos < len && r.cur.[r.pos] = ' ' do
-      r.pos <- r.pos + 1
+    let s = r.cur and stop = r.stop in
+    let p = ref r.pos in
+    while !p < stop && s.[!p] = ' ' do
+      incr p
     done;
-    if r.pos >= len then begin
+    if !p >= stop then begin
       refill r;
       read_request r
     end
     else begin
-      let start = r.pos in
-      while r.pos < len && r.cur.[r.pos] <> ' ' do
-        r.pos <- r.pos + 1
+      let start = !p in
+      let v = ref 0 in
+      while !p < stop && s.[!p] >= '0' && s.[!p] <= '9' do
+        v := (10 * !v) + (Char.code s.[!p] - Char.code '0');
+        incr p
       done;
-      Some (strict_int r (String.sub r.cur start (r.pos - start)))
+      if (!p >= stop || s.[!p] = ' ') && !p - start <= 18 then begin
+        r.pos <- !p;
+        Some !v
+      end
+      else begin
+        while !p < stop && s.[!p] <> ' ' do
+          incr p
+        done;
+        r.pos <- !p;
+        Some (strict_int r (String.sub s start (!p - start)))
+      end
     end
   end
 

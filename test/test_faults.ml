@@ -449,6 +449,57 @@ let test_parser_chunked_roundtrip () =
        let back = Trace_io.load_instance path in
        Alcotest.(check bool) "chunked roundtrip" true (inst = back))
 
+(* Tokenizer boundary pins: for each token, the value [read_request]
+   returns or the line and message of the [Parse_error] it raises.
+   Recorded against the substring tokenizer, before plain digit runs
+   were parsed in place. *)
+let read_all contents =
+  with_trace_file contents (fun path ->
+      Trace_io.with_reader path (fun r ->
+          let rec drain acc =
+            match Trace_io.read_request r with
+            | Some v -> drain (v :: acc)
+            | None -> Ok (List.rev acc)
+          in
+          try drain [] with Trace_io.Parse_error { line; message; _ } -> Error (line, message)))
+
+let read_result = Alcotest.(result (list int) (pair int string))
+
+let test_tokenizer_pins () =
+  let token tok = read_all (Printf.sprintf "k 2\nf 2\nseq %s\n" tok) in
+  let ok tok v = Alcotest.check read_result (Printf.sprintf "%S" tok) (Ok [ v ]) (token tok) in
+  let bad tok message =
+    Alcotest.check read_result (Printf.sprintf "%S" tok) (Error (3, message)) (token tok)
+  in
+  ok "0" 0;
+  ok "-0" 0;
+  ok "007" 7;
+  ok "123456789012345678" 123_456_789_012_345_678;
+  ok "999999999999999999" 999_999_999_999_999_999;
+  ok "4611686018427387903" max_int;
+  bad "4611686018427387904" "integer out of range: 4611686018427387904";
+  ok "-4611686018427387904" min_int;
+  bad "-4611686018427387905" "integer out of range: -4611686018427387905";
+  bad "-" "not an integer: \"-\"";
+  bad "--1" "not an integer: \"--1\"";
+  bad "1-2" "not an integer: \"1-2\"";
+  bad "+5" "not an integer: \"+5\"";
+  bad "0x10" "not an integer: \"0x10\"";
+  bad "1_0" "not an integer: \"1_0\"";
+  bad "1\t2" "not an integer: \"1\\t2\"";
+  let shape name contents expected =
+    Alcotest.check read_result name expected (read_all contents)
+  in
+  shape "leading and double spaces, trailing comment"
+    "k 2\nf 2\n   seq  1  2   3  # comment\n" (Ok [ 1; 2; 3 ]);
+  shape "comment glued to a token" "k 2\nf 2\nseq 4 5# c\nseq 6\t# c\n" (Ok [ 4; 5; 6 ]);
+  shape "trailing tab" "k 2\nf 2\nseq 7 8\t\n" (Ok [ 7; 8 ]);
+  shape "bare seq between payload lines" "k 2\nf 2\nseq 1 2\nseq\nseq 3\n" (Ok [ 1; 2; 3 ]);
+  shape "bare seq with a comment" "k 2\nf 2\nseq 1\nseq   # none\nseq 2\n" (Ok [ 1; 2 ]);
+  shape "bad token after a comment line" "k 2\nf 2\nseq 1\n# note\nseq 2 x\n"
+    (Error (5, "not an integer: \"x\""));
+  shape "tab after seq" "k 2\nf 2\nseq 1\nseq\t2 3\n" (Error (4, "unknown key: seq\t2"))
+
 (* ------------------------------------------------------------------ *)
 (* Typed invalid-schedule channel. *)
 
@@ -570,7 +621,8 @@ let () =
          Alcotest.test_case "multi-line seq" `Quick test_parser_multi_seq;
          Alcotest.test_case "incremental reader" `Quick test_reader_streams;
          Alcotest.test_case "deep malformed line" `Quick test_reader_deep_malformed_line;
-         Alcotest.test_case "chunked roundtrip" `Quick test_parser_chunked_roundtrip ]);
+         Alcotest.test_case "chunked roundtrip" `Quick test_parser_chunked_roundtrip;
+         Alcotest.test_case "tokenizer boundary pins" `Quick test_tokenizer_pins ]);
       ("typed errors",
        [ Alcotest.test_case "Invalid_schedule" `Quick test_invalid_schedule_exception ]);
       ("chrome trace", [ Alcotest.test_case "fault lane" `Quick test_trace_fault_lane ]);
