@@ -630,7 +630,7 @@ let fuzz_cmd =
     Arg.(
       value & flag
       & info [ "self-test" ]
-          ~doc:"Verify the harness catches two deliberately planted scheduler bugs (broken Aggressive eviction, stripped evictions) and shrinks the counterexample, then exit.")
+          ~doc:"Verify the harness catches three deliberately planted scheduler bugs (broken Aggressive eviction, stripped evictions, a decide rule that breaks the event-skipping contract) and shrinks the counterexample, then exit.")
   in
   let ceilings_arg =
     Arg.(

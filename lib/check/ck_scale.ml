@@ -8,33 +8,13 @@ let budget_ratio = 5.0
 let budget_floor_seconds = 0.25
 let spot_check_cap = 10_000
 
-(* Parallel sub-tier: every third case is a D-disk trace.  The reference
-   engine replays both greedy-D schedulers, so the spot check stays
-   affordable at a shorter prefix (each case runs 2 x D frontier scans). *)
+(* Parallel sub-tier: every third case is a D-disk trace.  The seed loop
+   checks D per-disk frontiers each instant, so the spot check stays
+   affordable at a shorter prefix. *)
 let parallel_min_n = 10_000
 let parallel_max_n = 50_000
 let parallel_max_disks = 8
 let parallel_spot_check_cap = 5_000
-
-let schedulers inst =
-  let f = inst.Instance.fetch_time in
-  let d0 = Bounds.delay_opt_d ~f in
-  [ ("aggressive", Aggressive.schedule);
-    ("conservative", Conservative.schedule);
-    (Printf.sprintf "delay(%d)" d0, fun i -> Delay.schedule ~d:d0 i);
-    ("combination", Combination.schedule);
-    ("fixed_horizon", Fixed_horizon.schedule);
-    ( Printf.sprintf "online(la=%d)" (4 * f),
-      fun i -> Online.schedule (Online.aggressive ~lookahead:(4 * f)) i );
-    ("reverse_aggressive", Reverse_aggressive.schedule) ]
-
-(* The D-disk production schedulers plus the disk-agnostic pair, as in
-   test_driver_equiv's corpus split. *)
-let parallel_schedulers (_inst : Instance.t) =
-  [ ("aggressive-D", Parallel_greedy.aggressive_schedule);
-    ("conservative-D", Parallel_greedy.conservative_schedule);
-    ("fixed_horizon", Fixed_horizon.schedule);
-    ("reverse_aggressive", Reverse_aggressive.schedule) ]
 
 (* --- generation ------------------------------------------------------- *)
 
@@ -94,71 +74,95 @@ let generate ~seed ~index : Ck_gen.case =
 
 (* --- oracles ---------------------------------------------------------- *)
 
-(* Executor validity for all seven schedulers, with a relative time
-   budget: scheduler time <= budget_ratio x Aggressive's time on the
-   same instance (machine speed cancels out of the ratio, so the bound
-   is stable across runners), under an absolute floor that keeps timer
-   noise on small shrunk instances from failing.  A regression that
-   reintroduces a per-decision linear scan blows the ratio by an order
-   of magnitude at n = 10^5. *)
-let validity_and_budget =
-  make ~name:"scale: validity + per-scheduler time budget" ~cls:Validity
-    (fun inst ->
-      if inst.Instance.num_disks <> 1 then Skip "single-disk tier"
-      else begin
-        let timed (name, alg) =
-          let t0 = Sys.time () in
-          let sched = alg inst in
-          let dt = Sys.time () -. t0 in
-          (name, sched, dt)
-        in
-        let runs = List.map timed (schedulers inst) in
-        let aggressive_dt =
-          match runs with
-          | ("aggressive", _, dt) :: _ -> dt
-          | _ -> assert false
-        in
-        let budget =
-          Stdlib.max budget_floor_seconds (budget_ratio *. aggressive_dt)
-        in
-        let rec go = function
-          | [] -> Pass
-          | (name, sched, dt) :: rest -> (
-            match Simulate.run inst sched with
-            | Error { Simulate.reason; at_time } ->
-              failf ~schedule:sched "%s rejected by executor at t=%d: %s" name
-                at_time reason
-            | Ok _ ->
-              if dt > budget then
-                failf ~schedule:sched
-                  "%s took %.3fs, budget %.3fs (%.1fx aggressive's %.3fs)"
-                  name dt budget budget_ratio aggressive_dt
-              else go rest)
-        in
-        go runs
-      end)
+(* One tier of cases and what its three oracles run.  The anchor heads
+   the scheduler list and sets the time budget. *)
+type tier = {
+  parallel : bool;  (* checks the D-disk cases; the other tier's cases skip *)
+  anchor : Ck_seed.rule;
+  others : Instance.t -> Ck_seed.rule list;
+  accounted : Instance.t -> Ck_seed.rule list;  (* accounting runs these *)
+  cap : int;  (* prefix replayed through the seed loop *)
+}
 
-let accounting =
-  make ~name:"scale: stall/attribution identities" ~cls:Accounting
-    (fun inst ->
-      if inst.Instance.num_disks <> 1 then Skip "single-disk tier"
-      else begin
+let single_tier =
+  { parallel = false;
+    anchor = Ck_seed.aggressive;
+    others =
+      (fun inst ->
         let f = inst.Instance.fetch_time in
-        let algs =
-          [ ("aggressive", Aggressive.schedule);
-            ("conservative", Conservative.schedule);
-            ( Printf.sprintf "online(la=%d)" (4 * f),
-              fun i -> Online.schedule (Online.aggressive ~lookahead:(4 * f)) i ) ]
-        in
-        let rec go = function
-          | [] -> Pass
-          | (alg_name, alg) :: rest -> (
-            match Ck_validity.check_identities ~alg_name inst (alg inst) with
-            | Some failure -> failure
-            | None -> go rest)
-        in
-        go algs
-      end)
+        Ck_seed.
+          [ conservative;
+            delay (Bounds.delay_opt_d ~f);
+            combination;
+            fixed_horizon;
+            online (Online.aggressive ~lookahead:(4 * f));
+            reverse_aggressive ]);
+    accounted =
+      (fun inst ->
+        Ck_seed.
+          [ aggressive;
+            conservative;
+            online (Online.aggressive ~lookahead:(4 * inst.Instance.fetch_time)) ]);
+    cap = spot_check_cap }
+
+(* The D-disk production schedulers plus the disk-agnostic pair, as in
+   test_driver_equiv's corpus split. *)
+let parallel_tier =
+  { parallel = true;
+    anchor = Ck_seed.aggressive_d;
+    others = (fun _ -> Ck_seed.[ conservative_d; fixed_horizon; reverse_aggressive ]);
+    accounted = (fun _ -> Ck_seed.[ aggressive_d; conservative_d ]);
+    cap = parallel_spot_check_cap }
+
+let schedulers_of tier inst = tier.anchor :: tier.others inst
+
+let in_tier tier ~name ~cls check =
+  make ~name ~cls (fun inst ->
+      if (inst.Instance.num_disks > 1) <> tier.parallel then
+        Skip (if tier.parallel then "parallel tier" else "single-disk tier")
+      else check inst)
+
+let first_failure f l =
+  List.fold_left (fun acc x -> match acc with Pass -> f x | _ -> acc) Pass l
+
+(* Executor validity for every scheduler of the tier, with a relative
+   time budget: scheduler time <= budget_ratio x the anchor's time on
+   the same instance (machine speed cancels out of the ratio, so the
+   bound is stable across runners), under an absolute floor that keeps
+   timer noise on small shrunk instances from failing.  A regression
+   that reintroduces a per-decision linear scan blows the ratio by an
+   order of magnitude at n = 10^5. *)
+let validity_and_budget_of tier ~name =
+  in_tier tier ~name ~cls:Validity (fun inst ->
+      let timed (r : Ck_seed.rule) =
+        let t0 = Sys.time () in
+        let sched = r.Ck_seed.schedule inst in
+        (r.Ck_seed.name, sched, Sys.time () -. t0)
+      in
+      let ((_, _, anchor_dt) as anchor) = timed tier.anchor in
+      let runs = anchor :: List.map timed (tier.others inst) in
+      let budget = Stdlib.max budget_floor_seconds (budget_ratio *. anchor_dt) in
+      first_failure
+        (fun (name, sched, dt) ->
+          match Simulate.run inst sched with
+          | Error { Simulate.reason; at_time } ->
+            failf ~schedule:sched "%s rejected by executor at t=%d: %s" name at_time reason
+          | Ok _ when dt > budget ->
+            failf ~schedule:sched "%s took %.3fs, budget %.3fs (%.1fx %s's %.3fs)" name dt
+              budget budget_ratio tier.anchor.Ck_seed.name anchor_dt
+          | Ok _ -> Pass)
+        runs)
+
+let accounting_of tier ~name =
+  in_tier tier ~name ~cls:Accounting (fun inst ->
+      first_failure
+        (fun (r : Ck_seed.rule) ->
+          match
+            Ck_validity.check_identities ~alg_name:r.Ck_seed.name inst (r.Ck_seed.schedule inst)
+          with
+          | Some failure -> failure
+          | None -> Pass)
+        (tier.accounted inst))
 
 let truncate (inst : Instance.t) cap =
   if Instance.length inst <= cap then inst
@@ -174,109 +178,35 @@ let truncate (inst : Instance.t) cap =
       ~initial_cache:inst.Instance.initial_cache
       (Array.sub inst.Instance.seq 0 cap)
 
-(* Fast-vs-reference spot check: byte-identical schedules on a prefix
-   short enough for the quadratic Reference engine.  This is the same
-   property test_driver_equiv pins on its fixed corpus, sampled here
-   across the generated scale distribution. *)
+(* Production against the seed loop ({!Ck_seed}) on a prefix short
+   enough for its per-instant scans: byte-identical schedules and every
+   frontier/heap answer equal to a fresh scan.  This is the property
+   test_driver_equiv pins on its fixed corpus, sampled here across the
+   generated scale distribution. *)
+let fast_vs_reference_of tier ~name =
+  in_tier tier ~name ~cls:Differential (fun inst ->
+      let inst = truncate inst tier.cap in
+      match Ck_seed.check inst (schedulers_of tier inst) with
+      | Fail f ->
+        Fail { f with msg = Printf.sprintf "%d-request prefix: %s" (Instance.length inst) f.msg }
+      | outcome -> outcome)
+
+let validity_and_budget =
+  validity_and_budget_of single_tier ~name:"scale: validity + per-scheduler time budget"
+
+let accounting = accounting_of single_tier ~name:"scale: stall/attribution identities"
+
 let fast_vs_reference =
-  make ~name:"scale: fast = reference on capped prefix" ~cls:Differential
-    (fun inst ->
-      if inst.Instance.num_disks <> 1 then Skip "single-disk tier"
-      else begin
-        let inst = truncate inst spot_check_cap in
-        let rec go = function
-          | [] -> Pass
-          | (name, alg) :: rest ->
-            let fast = alg inst in
-            let ref_ = Driver.with_engine Driver.Reference (fun () -> alg inst) in
-            if fast <> ref_ then
-              failf ~schedule:fast
-                "%s: fast/reference schedules diverge on %d-request prefix (%d vs %d ops)"
-                name (Instance.length inst) (List.length fast) (List.length ref_)
-            else go rest
-        in
-        go (schedulers inst)
-      end)
+  fast_vs_reference_of single_tier ~name:"scale: fast = reference on capped prefix"
 
-(* --- parallel oracles -------------------------------------------------- *)
-
-(* Mirrors of the three single-disk oracles over the D-disk schedulers;
-   the budget is anchored to Aggressive-D the same way. *)
 let parallel_validity_and_budget =
-  make ~name:"scale: parallel validity + time budget" ~cls:Validity
-    (fun inst ->
-      if inst.Instance.num_disks = 1 then Skip "parallel tier"
-      else begin
-        let timed (name, alg) =
-          let t0 = Sys.time () in
-          let sched = alg inst in
-          let dt = Sys.time () -. t0 in
-          (name, sched, dt)
-        in
-        let runs = List.map timed (parallel_schedulers inst) in
-        let aggressive_dt =
-          match runs with
-          | ("aggressive-D", _, dt) :: _ -> dt
-          | _ -> assert false
-        in
-        let budget =
-          Stdlib.max budget_floor_seconds (budget_ratio *. aggressive_dt)
-        in
-        let rec go = function
-          | [] -> Pass
-          | (name, sched, dt) :: rest -> (
-            match Simulate.run inst sched with
-            | Error { Simulate.reason; at_time } ->
-              failf ~schedule:sched "%s rejected by executor at t=%d: %s" name
-                at_time reason
-            | Ok _ ->
-              if dt > budget then
-                failf ~schedule:sched
-                  "%s took %.3fs, budget %.3fs (%.1fx aggressive-D's %.3fs)"
-                  name dt budget budget_ratio aggressive_dt
-              else go rest)
-        in
-        go runs
-      end)
+  validity_and_budget_of parallel_tier ~name:"scale: parallel validity + time budget"
 
 let parallel_accounting =
-  make ~name:"scale: parallel stall/attribution identities" ~cls:Accounting
-    (fun inst ->
-      if inst.Instance.num_disks = 1 then Skip "parallel tier"
-      else begin
-        let algs =
-          [ ("aggressive-D", Parallel_greedy.aggressive_schedule);
-            ("conservative-D", Parallel_greedy.conservative_schedule) ]
-        in
-        let rec go = function
-          | [] -> Pass
-          | (alg_name, alg) :: rest -> (
-            match Ck_validity.check_identities ~alg_name inst (alg inst) with
-            | Some failure -> failure
-            | None -> go rest)
-        in
-        go algs
-      end)
+  accounting_of parallel_tier ~name:"scale: parallel stall/attribution identities"
 
 let parallel_fast_vs_reference =
-  make ~name:"scale: parallel fast = reference on capped prefix" ~cls:Differential
-    (fun inst ->
-      if inst.Instance.num_disks = 1 then Skip "parallel tier"
-      else begin
-        let inst = truncate inst parallel_spot_check_cap in
-        let rec go = function
-          | [] -> Pass
-          | (name, alg) :: rest ->
-            let fast = alg inst in
-            let ref_ = Driver.with_engine Driver.Reference (fun () -> alg inst) in
-            if fast <> ref_ then
-              failf ~schedule:fast
-                "%s: fast/reference schedules diverge on %d-request prefix (%d vs %d ops)"
-                name (Instance.length inst) (List.length fast) (List.length ref_)
-            else go rest
-        in
-        go (parallel_schedulers inst)
-      end)
+  fast_vs_reference_of parallel_tier ~name:"scale: parallel fast = reference on capped prefix"
 
 let all =
   [ validity_and_budget;

@@ -3,7 +3,9 @@
     The ck_gen corpus keeps instances small enough for exact oracles;
     this tier generates 10^4-10^5-request single-disk traces from the
     scale workload families and checks the seven production schedulers
-    where their fast paths actually matter:
+    (aggressive, conservative, delay(d0), combination, fixed_horizon,
+    online(la=4F), reverse_aggressive) where their fast paths actually
+    matter:
 
     - {e validity + budget}: every schedule is accepted by the executor,
       and each scheduler finishes within {!budget_ratio} x Aggressive's
@@ -12,15 +14,17 @@
       old quadratic scans fails this immediately;
     - {e accounting}: the executor's stall/attribution identities on
       representative schedules;
-    - {e fast vs reference}: byte-identical schedules against
-      [Driver.Reference] on a {!spot_check_cap}-request prefix (the
-      quadratic reference engine caps the affordable length).
+    - {e fast vs reference}: byte-identical schedules against the seed
+      loop ({!Ck_seed.check}: one instant at a time, every frontier and
+      heap answer checked against a fresh scan) on a
+      {!spot_check_cap}-request prefix (its per-instant scans cap the
+      affordable length).
 
     Every third case (PR 9) is instead a 2-8-disk trace under the four
     disk layouts (tier [Parallel]); the same three properties are then
     checked over the D-disk schedulers (Aggressive-D, Conservative-D)
     plus the disk-agnostic pair, with the budget anchored to
-    Aggressive-D and the reference replay capped at
+    Aggressive-D and the seed-loop replay capped at
     {!parallel_spot_check_cap}.
 
     Cases are pure functions of [(seed, index)] like {!Ck_gen.generate},
@@ -36,9 +40,9 @@ val parallel_max_disks : int
 (** Largest [D] the parallel sub-tier generates. *)
 
 val parallel_spot_check_cap : int
-(** Prefix length replayed against the Reference engine on D-disk cases
+(** Prefix length replayed through the seed loop on D-disk cases
     (shorter than {!spot_check_cap}: the replay runs both greedy-D
-    schedulers across [D] per-disk frontiers). *)
+    schedulers and checks [D] per-disk frontiers each instant). *)
 
 val budget_ratio : float
 (** Per-scheduler wall-clock ceiling as a multiple of Aggressive's time
@@ -48,17 +52,9 @@ val budget_floor_seconds : float
 (** Absolute per-scheduler floor below which the ratio is not applied. *)
 
 val spot_check_cap : int
-(** Prefix length replayed against the Reference engine. *)
+(** Prefix length replayed through the seed loop. *)
 
 val generate : seed:int -> index:int -> Ck_gen.case
-
-val schedulers : Instance.t -> (string * (Instance.t -> Fetch_op.schedule)) list
-(** The seven production schedulers: aggressive, conservative, delay(d0),
-    combination, fixed_horizon, online(la=4F), reverse_aggressive. *)
-
-val parallel_schedulers : Instance.t -> (string * (Instance.t -> Fetch_op.schedule)) list
-(** The D-disk schedulers checked on Parallel-tier cases: aggressive-D,
-    conservative-D, fixed_horizon, reverse_aggressive. *)
 
 val validity_and_budget : Ck_oracle.t
 val accounting : Ck_oracle.t

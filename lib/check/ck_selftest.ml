@@ -36,6 +36,24 @@ let broken_decide d =
 let broken_aggressive_schedule inst =
   Driver.schedule (Driver.run inst ~decide:broken_decide)
 
+(* Aggressive that acts only on every other decide call, unless the
+   cursor's block is missing (so it cannot deadlock).  The call counter
+   is per-call state, which breaks the decide contract: a run that
+   elides the calls the contract proves are no-ops sees a different
+   parity from a run that makes them all.  Every schedule it emits is
+   valid and near-Aggressive, so only the seed-loop differential can
+   tell production's run from the per-instant one. *)
+let every_other_call_decide () =
+  let calls = ref 0 in
+  fun d ->
+    incr calls;
+    let cur = Driver.request_at d (Driver.cursor d) in
+    if !calls land 1 = 0 || not (Driver.in_cache d cur || Driver.block_in_flight d cur) then
+      Aggressive.decide d
+
+let every_other_call_schedule inst =
+  Driver.schedule (Driver.run inst ~decide:(every_other_call_decide ()))
+
 let no_evict_schedule inst =
   List.map
     (fun (op : Fetch_op.t) -> { op with Fetch_op.evict = None })
@@ -97,9 +115,21 @@ let run ~seed ~max_cases =
     Ck_validity.validity_with ~name:"validity: no-evict aggressive"
       ~algorithms_for:(fun _ -> [ ("no_evict_aggressive", no_evict_schedule) ])
   in
-  match find_planted ~seed ~max_cases ~oracle:theorem_oracle with
-  | Error e -> Error e
-  | Ok f1 -> (
-    match find_planted ~seed ~max_cases ~oracle:validity_oracle with
-    | Error e -> Error e
-    | Ok f2 -> Ok [ f1; f2 ])
+  let contract_oracle =
+    Ck_oracle.make ~name:"differential: every-other-call aggressive vs seed loop"
+      ~cls:Ck_oracle.Differential (fun inst ->
+        Ck_seed.check inst
+          [ { Ck_seed.name = "every_other_call_aggressive";
+              schedule = every_other_call_schedule;
+              seed = (fun _ -> every_other_call_decide ());
+              reach = (fun _ -> 0);
+              plans_min = false } ])
+  in
+  let rec all acc = function
+    | [] -> Ok (List.rev acc)
+    | oracle :: rest -> (
+      match find_planted ~seed ~max_cases ~oracle with
+      | Error e -> Error e
+      | Ok f -> all (f :: acc) rest)
+  in
+  all [] [ theorem_oracle; validity_oracle; contract_oracle ]

@@ -1,6 +1,6 @@
 (** Planted-bug self-test: prove the harness catches real bugs.
 
-    Two deliberately broken schedulers are fed through the fuzz engine:
+    Three deliberately broken schedulers are fed through the fuzz engine:
 
     - [broken_aggressive]: fetches like Aggressive but drops its guard
       (fetch even when every cached block is needed sooner) and inverts
@@ -8,6 +8,11 @@
       Theorem-1 oracle must catch the resulting thrashing.
     - [no_evict_aggressive]: Aggressive's schedule with every eviction
       stripped.  The validity oracle must catch the capacity violation.
+    - [every_other_call_aggressive]: Aggressive that acts only on every
+      other decide call unless the cursor's block is missing - per-call
+      state that breaks {!Driver.run}'s decide contract.  Its schedules
+      are valid, so only the seed-loop differential ({!Ck_seed.check})
+      can catch it.
 
     Each run reports the shrunk counterexample; the acceptance criterion
     is a counterexample of at most 12 requests. *)
@@ -30,4 +35,5 @@ val find_planted :
     [Error] when no failure surfaces within [max_cases]. *)
 
 val run : seed:int -> max_cases:int -> (finding list, string) Result.t
-(** Both planted bugs; [Error] if either goes undetected. *)
+(** The three planted bugs, in the order above; [Error] if any goes
+    undetected. *)

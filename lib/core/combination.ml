@@ -13,10 +13,13 @@ let choose ~k ~f : choice =
   let c0 = Bounds.delay_bound ~d:d0 ~f in
   if c0 < Bounds.aggressive_upper ~k ~f then Use_delay d0 else Use_aggressive
 
-let schedule (inst : Instance.t) : Fetch_op.schedule =
+let rule (inst : Instance.t) =
   match choose ~k:inst.Instance.cache_size ~f:inst.Instance.fetch_time with
-  | Use_aggressive -> Aggressive.schedule inst
-  | Use_delay d -> Delay.schedule ~d inst
+  | Use_aggressive -> Aggressive.decide
+  | Use_delay d -> Delay.rule ~d ()
+
+let schedule (inst : Instance.t) : Fetch_op.schedule =
+  Driver.schedule (Driver.run inst ~decide:(rule inst))
 
 let stats inst = Driver.validate ~name:"Combination" inst (schedule inst)
 

@@ -11,6 +11,10 @@ type choice = Use_aggressive | Use_delay of int
 val choose : k:int -> f:int -> choice
 (** The strategy Combination selects for cache size [k] and fetch time [f]. *)
 
+val rule : Instance.t -> Driver.t -> unit
+(** [rule inst] is a fresh decide callback for the strategy {!choose}
+    selects on [inst]. *)
+
 val schedule : Instance.t -> Fetch_op.schedule
 
 val stats : Instance.t -> Simulate.stats

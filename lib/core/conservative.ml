@@ -19,14 +19,8 @@ type pending = {
 
 let plan (inst : Instance.t) : pending list =
   (* The whole cost of Conservative is the MIN precomputation; the decide
-     loop just pops a queue.  Gate the heap-based MIN on the driver
-     engine so [with_engine Reference] replays the seed fold-based MIN,
-     making the equivalence suite cover this planner too. *)
-  let min_result =
-    match Driver.active_engine () with
-    | Driver.Fast -> Paging.min_offline_fast inst
-    | Driver.Reference -> Paging.min_offline inst
-  in
+     loop just pops a queue. *)
+  let min_result = Paging.min_offline_fast inst in
   let nr = Next_ref.of_instance inst in
   List.map
     (fun (r : Paging.replacement) ->
@@ -46,9 +40,9 @@ let plan (inst : Instance.t) : pending list =
          eligible_cursor })
     min_result.Paging.replacements
 
-let schedule (inst : Instance.t) : Fetch_op.schedule =
+let rule (inst : Instance.t) =
   let queue = ref (plan inst) in
-  let decide d =
+  fun d ->
     if not (Driver.disk_busy d 0) then begin
       match !queue with
       | [] -> ()
@@ -58,8 +52,9 @@ let schedule (inst : Instance.t) : Fetch_op.schedule =
           queue := rest
         end
     end
-  in
-  Driver.schedule (Driver.run inst ~decide)
+
+let schedule (inst : Instance.t) : Fetch_op.schedule =
+  Driver.schedule (Driver.run inst ~decide:(rule inst))
 
 let stats inst = Driver.validate ~name:"Conservative" inst (schedule inst)
 

@@ -19,6 +19,10 @@ val plan : Instance.t -> pending list
 (** MIN's replacement sequence annotated with earliest start positions, in
     miss order.  Also used by Conservative-D ({!Parallel_greedy}). *)
 
+val rule : Instance.t -> Driver.t -> unit
+(** [rule inst] is a fresh decide callback that pops {!plan}'s queue (the
+    queue is per-run state). *)
+
 val schedule : Instance.t -> Fetch_op.schedule
 
 val stats : Instance.t -> Simulate.stats

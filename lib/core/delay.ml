@@ -28,15 +28,6 @@ type committed = {
    missing) lies inside the window. *)
 let rule ~d () =
   if d < 0 then invalid_arg "Delay: d must be non-negative";
-  let merge_queries =
-    (* Fast path: skip the heap entirely when a free slot decides the
-       fetch, and reuse the late-check peek as the victim query when
-       d' = 0 (then both ask for the furthest next reference from the
-       cursor).  Identical decisions by construction, but keep the seed
-       two-query shape as the Reference oracle like the other rebuilt
-       schedulers. *)
-    match Driver.active_engine () with Driver.Fast -> true | Driver.Reference -> false
-  in
   let pending : committed option ref = ref None in
   let commit_victim drv ~i ~j b =
     (* Earliest initiation: after b's last request before j.  A stream's
@@ -61,7 +52,10 @@ let rule ~d () =
             if not (Driver.cache_full drv) then
               (* Spare capacity: fetch without eviction, no delay needed. *)
               pending := Some { block = Driver.request_at drv j; evict = -1; eligible_cursor = i }
-            else if merge_queries then begin
+            else begin
+              (* One heap query decides both whether some cached block is
+                 requested only after j (the furthest next reference from
+                 the cursor lands past j) and, when d' = 0, the victim. *)
               match Driver.furthest_cached drv ~from:i with
               | Some (b0, nx) when nx > j ->
                 let d' = Stdlib.min d (j - i) in
@@ -71,23 +65,6 @@ let rule ~d () =
                    | None -> ()
                    | Some (b, _) -> commit_victim drv ~i ~j b)
               | _ -> ()
-            end
-            else begin
-              (* Is some cached block requested only at or after position
-                 j?  Equivalent to the furthest next reference (measured
-                 from the cursor) landing past j - one heap peek instead
-                 of a scan over the whole cache. *)
-              let exists_late =
-                match Driver.furthest_cached drv ~from:i with
-                | Some (_, nx) -> nx > j
-                | None -> false
-              in
-              if exists_late then begin
-                let d' = Stdlib.min d (j - i) in
-                match Driver.furthest_cached drv ~from:(i + d') with
-                | None -> ()
-                | Some (b, _) -> commit_victim drv ~i ~j b
-              end
             end));
       (match !pending with
        | Some c when Driver.cursor drv >= c.eligible_cursor ->

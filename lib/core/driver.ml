@@ -26,37 +26,37 @@
    policies) read the trace only through [request_at], [next_ref] and
    [prev_ref], which never see past the known requests.
 
-   Two engines share this loop:
+   The engine answers every query in O(log k) amortized, for
+   O((n + fetches) log k) per run:
 
-   - [Reference]: the seed implementation.  Every query is a fresh scan
-     ([next_missing] rescans from the cursor, [furthest_cached] scores
-     every cached block) and the clock ticks one instant at a time.
-     Quadratic, obviously correct, kept as the oracle for the
-     driver-equivalence tests.
+   - [next_missing] keeps a monotone frontier (global and per disk):
+     every position in [cursor, frontier) is known non-missing, so scans
+     resume at the frontier instead of the cursor.  The only transition
+     that makes a position missing again is an eviction, which clamps
+     the frontiers to the evicted block's next reference.
+   - [furthest_cached] keeps a lazy-invalidation max-heap
+     ({!Evict_heap}) with one live entry per resident block, keyed by
+     the block's next reference measured from the cursor.  The key
+     invariant "live key = next reference at or after the cursor" is
+     maintained by re-keying the served block once per serve (and, in a
+     stream, a resident block whose first in-window reference just
+     arrived).  Queries [~from] beyond the cursor additionally scan the
+     <= from - cursor window positions whose blocks' heap keys may lag
+     (Delay's d' window).
+   - the run loop skips uniform instants: serve runs while every disk is
+     busy (the decide contract below makes the callback a no-op there)
+     execute in a tight loop, and stall runs where the last decide call
+     was a no-op jump straight to the next fetch completion.  In a
+     stream each skipped serve still fires [on_find] for its request
+     first and refills the window after.
 
-   - [Fast] (the default): the same observable behaviour in
-     O((n + fetches) log k) total.
-       * [next_missing] keeps a monotone frontier (global and per disk):
-         every position in [cursor, frontier) is known non-missing, so
-         scans resume at the frontier instead of the cursor.  The only
-         transition that makes a position missing again is an eviction,
-         which clamps the frontiers to the evicted block's next
-         reference.
-       * [furthest_cached] keeps a lazy-invalidation max-heap
-         ({!Evict_heap}) with one live entry per resident block, keyed
-         by the block's next reference measured from the cursor.  The
-         key invariant "live key = next reference at or after the
-         cursor" is maintained by re-keying the served block once per
-         serve (and, in a stream, a resident block whose first in-window
-         reference just arrived).  Queries [~from] beyond the cursor
-         additionally scan the <= from - cursor window positions whose
-         blocks' heap keys may lag (Delay's d' window).
-       * the run loop skips uniform instants: serve runs while every
-         disk is busy (the decide contract below makes the callback a
-         no-op there) execute in a tight loop, and stall runs where the
-         last decide call was a no-op jump straight to the next fetch
-         completion.  In a stream each skipped serve still fires
-         [on_find] for its request first and refills the window after.
+   Queries [~from] outside the frontier or below the cursor fall back
+   to a plain scan; those answers define the public queries.  The
+   stepping functions ([create], [tick_completions], [advance],
+   [finished]) let a caller run its own loop: the checking oracle in
+   lib/check (Ck_seed) steps one instant at a time, with no event
+   skipping, and compares every frontier and heap answer with a fresh
+   scan.
 
    The decide contract (all in-tree rules satisfy it, and the
    equivalence suite in test/test_driver_equiv.ml checks them all): a
@@ -67,24 +67,12 @@
    is a no-op.  Callbacks that need recency information derive it from
    [prev_ref] rather than by accumulating per-instant writes. *)
 
-type engine = Fast | Reference
-
-let default_engine = ref Fast
-
-let with_engine e f =
-  let old = !default_engine in
-  default_engine := e;
-  Fun.protect f ~finally:(fun () -> default_engine := old)
-
-let active_engine () = !default_engine
-
 type t = {
   index : index;
   k : int;
   fetch_time : int;
   num_disks : int;
   disk_of : int array;  (* home disk per block; empty in a stream (one disk) *)
-  engine : engine;
   record : bool;  (* keep the Fetch_op list *)
   mutable limit : int;  (* one past the last known request: n, or the window edge *)
   mutable exhausted : bool;  (* [limit] is final *)
@@ -227,7 +215,6 @@ let make ~index ~k ~fetch_time ~num_disks ~disk_of ~record ~limit ~exhausted ~ca
     fetch_time;
     num_disks;
     disk_of;
-    engine = !default_engine;
     record;
     limit;
     exhausted;
@@ -291,7 +278,6 @@ let time d = d.time
 let cursor d = d.cursor
 let stall_time d = d.stall
 let fetches d = d.fetch_count
-let engine d = d.engine
 let lookahead_end d = d.limit
 let max_block_seen d = d.max_block_seen
 
@@ -335,20 +321,21 @@ let rec scan_missing d slot i =
   else if missing_at d i && (slot = d.num_disks || disk_of d (request_at d i) = slot) then i
   else scan_missing d slot (i + 1)
 
-(* Fast engine: every position in [cursor, missing_from.(slot)) is known
-   non-missing, so a query from at or before that frontier resumes the
-   scan there and publishes the new frontier.  (Queries from beyond the
-   frontier - no in-tree caller - scan plainly and learn nothing.) *)
+(* Every position in [cursor, missing_from.(slot)) is known non-missing,
+   so a query from at or before that frontier resumes the scan there and
+   publishes the new frontier.  (Queries from beyond the frontier - no
+   in-tree caller - scan plainly and learn nothing.) *)
 let find_missing d slot from =
+  let frontier = Stdlib.max d.missing_from.(slot) d.cursor in
   let r =
-    match d.engine with
-    | Fast when from >= d.cursor && from <= Stdlib.max d.missing_from.(slot) d.cursor ->
-      let r = scan_missing d slot (Stdlib.max d.missing_from.(slot) d.cursor) in
+    if from >= d.cursor && from <= frontier then begin
+      let r = scan_missing d slot frontier in
       let nf = if r < 0 then d.limit else r in
       if nf > d.missing_from.(slot) then d.frontier_advances <- d.frontier_advances + 1;
       d.missing_from.(slot) <- nf;
       r
-    | Fast | Reference -> scan_missing d slot from
+    end
+    else scan_missing d slot from
   in
   if r < 0 then None else Some r
 
@@ -360,14 +347,15 @@ let next_missing_on_disk d ~disk ~from = find_missing d disk from
 (* The cached block whose next reference measured from [from] is furthest
    in the future (ties: smallest id).  None if the cache is empty.
 
-   Fast engine: the heap top answers queries at the cursor directly.  For
-   [from > cursor] (Delay's d' window) the live keys of blocks referenced
-   inside [cursor, from) undershoot their true next reference measured
-   from [from]; those are exactly the blocks requested at the <= from -
+   The heap top answers queries at the cursor directly.  For [from >
+   cursor] (Delay's d' window) the live keys of blocks referenced inside
+   [cursor, from) undershoot their true next reference measured from
+   [from]; those are exactly the blocks requested at the <= from -
    cursor window positions, so a linear pass over the window re-scores
    them and the heap covers the rest (any entry with key < from belongs
    to the window, and the valid top dominates all entries with key >=
-   from). *)
+   from).  Below the cursor the keys say nothing: score every cached
+   block. *)
 let furthest_cached d ~from =
   let best = ref (-1) in
   let best_next = ref (-1) in
@@ -377,17 +365,16 @@ let furthest_cached d ~from =
       best := b
     end
   in
-  (match d.engine with
-   | Fast when from >= d.cursor ->
-     for p = d.cursor to Stdlib.min (from - 1) (d.limit - 1) do
-       let b = request_at d p in
-       if d.in_cache.(b) then consider b (next_ref d ~block:b ~from)
-     done;
-     (match Evict_heap.peek d.heap with
-      | Some (b, key) when key >= from -> consider b key
-      | Some _ | None -> ())
-   | Fast | Reference ->
-     Array.iteri (fun b c -> if c then consider b (next_ref d ~block:b ~from)) d.in_cache);
+  if from >= d.cursor then begin
+    for p = d.cursor to Stdlib.min (from - 1) (d.limit - 1) do
+      let b = request_at d p in
+      if d.in_cache.(b) then consider b (next_ref d ~block:b ~from)
+    done;
+    match Evict_heap.peek d.heap with
+    | Some (b, key) when key >= from -> consider b key
+    | Some _ | None -> ()
+  end
+  else Array.iteri (fun b c -> if c then consider b (next_ref d ~block:b ~from)) d.in_cache;
   if !best < 0 then None else Some (!best, !best_next)
 
 (* ------------------------------------------------------------------ *)
@@ -682,13 +669,10 @@ let drive d ~decide =
     let cursor_before = d.cursor in
     advance d;
     refill d;
-    match d.engine with
-    | Fast ->
-      (* Quiescent iff decide has already seen exactly this state and
-         made no move: it started no fetch, and the advance step was a
-         stall (a serve moves the cursor decide keyed its decision on). *)
-      fast_forward d ~quiescent:(d.fetch_count = fetches_before && d.cursor = cursor_before)
-    | Reference -> ()
+    (* Quiescent iff decide has already seen exactly this state and made
+       no move: it started no fetch, and the advance step was a stall (a
+       serve moves the cursor decide keyed its decision on). *)
+    fast_forward d ~quiescent:(d.fetch_count = fetches_before && d.cursor = cursor_before)
   done;
   flush_stats d;
   d

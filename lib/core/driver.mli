@@ -18,33 +18,17 @@
 
 type t
 
-(** {1 Engines}
+(** {1 Design}
 
-    [Fast] (the default) answers every query in O(log k) amortized - a
-    monotone next-missing frontier (global and per disk), a
-    lazy-invalidation max-heap of eviction candidates ({!Evict_heap}),
-    and an event-skipping clock - for O((n + fetches) log k) total per
-    run.  [Reference] is the seed implementation (fresh scans per query,
-    one instant per loop iteration), kept as the oracle the equivalence
-    suite replays every scheduler against: both engines produce
-    byte-identical schedules. *)
-
-type engine = Fast | Reference
-
-val with_engine : engine -> (unit -> 'a) -> 'a
-(** [with_engine e f] runs [f] with drivers created inside it using
-    engine [e] (restored on exit, including on exceptions). *)
-
-val engine : t -> engine
-
-val active_engine : unit -> engine
-(** The engine new drivers are created with: whatever the innermost
-    {!with_engine} installed, [Fast] outside any.  Schedulers with
-    engine-gated hot paths (Conservative's heap MIN, Online's
-    invisible-LRU victim heap, Delay's merged queries) branch on this, so
-    [with_engine Reference] selects both the seed driver and the seed
-    scheduler code, keeping the equivalence suite a whole-pipeline
-    oracle. *)
+    Every query is O(log k) amortized, for O((n + fetches) log k) per
+    run: a monotone next-missing frontier (global and per disk) that
+    evictions clamp back, a lazy-invalidation max-heap of eviction
+    candidates ({!Evict_heap}) keyed by next reference, and an
+    event-skipping clock that elides the decide calls the contract below
+    proves are no-ops.  Queries [~from] outside the frontier or below the
+    cursor answer with a plain scan.  The checking oracle ([Ck_seed] in
+    lib/check) drives {!create} through the stepping functions one
+    instant at a time and compares every answer with a fresh scan. *)
 
 val create : Instance.t -> t
 (** A batch engine over the whole instance, before its first instant. *)
@@ -54,14 +38,13 @@ val run : Instance.t -> decide:(t -> unit) -> t
     [decide] after fetch completions whenever the state may have changed;
     the callback may invoke {!start_fetch}.
 
-    Decide contract (required by the fast engine's event skipping, and
-    satisfied by every in-tree rule, streaming policies included): the
-    callback must do nothing when every disk is busy, and must depend on
-    the engine only through the cursor, cache, and in-flight state -
-    never on the raw clock - so repeating it against an identical state
-    is a no-op.  The reference engine literally calls [decide] once per
-    instant; the fast engine skips only invocations that contract proves
-    are no-ops.
+    Decide contract (required by event skipping, and satisfied by every
+    in-tree rule, streaming policies included): the callback must do
+    nothing when every disk is busy, and must depend on the engine only
+    through the cursor, cache, and in-flight state - never on the raw
+    clock - so repeating it against an identical state is a no-op.  The run skips only invocations that contract proves are
+    no-ops; a loop over the stepping functions calls [decide] once per
+    instant and must start the same fetches.
     @raise Simulate.Internal_error (component ["driver"]) if the
     algorithm deadlocks: the cursor's block is missing and no fetch is in
     flight. *)
@@ -150,9 +133,9 @@ val block_in_flight : t -> int -> bool
 
 val next_missing : ?from:int -> t -> int option
 (** First known position at or after [from] (default: the cursor) whose
-    block is neither cached nor in flight.  Fast engine: amortized O(1)
-    via the monotone frontier when [from <=] the last answer (the only
-    pattern schedulers use); evictions clamp the frontier back. *)
+    block is neither cached nor in flight.  Amortized O(1) via the
+    monotone frontier when [from <=] the last answer (the only pattern
+    schedulers use); evictions clamp the frontier back. *)
 
 val next_missing_on_disk : t -> disk:int -> from:int -> int option
 (** Per-disk variant with its own monotone frontier. *)
@@ -160,10 +143,9 @@ val next_missing_on_disk : t -> disk:int -> from:int -> int option
 val furthest_cached : t -> from:int -> (int * int) option
 (** The cached block whose next reference measured from [from] is furthest
     in the future (ties broken towards smaller ids), with that reference
-    position (see {!next_ref} for blocks not requested again).  Fast
-    engine: O(log k) amortized from the eviction-candidate heap, plus an
-    O(from - cursor) re-scoring pass when querying beyond the cursor
-    (Delay's d' window). *)
+    position (see {!next_ref} for blocks not requested again).  O(log k)
+    amortized from the eviction-candidate heap, plus an O(from - cursor)
+    re-scoring pass when querying beyond the cursor (Delay's d' window). *)
 
 (** {1 Actions} *)
 
@@ -190,10 +172,20 @@ val refills : t -> int
 (** Window refill batches pulled from the stream's source (0 in a batch
     run). *)
 
-(** {1 Low-level stepping (used by tests)} *)
+(** {1 Stepping}
+
+    One instant of {!run} without event skipping is [tick_completions],
+    the decide callback, then [advance], repeated until {!finished}.  The
+    checking oracle steps a {!create}d engine this way. *)
 
 val tick_completions : t -> unit
+(** Complete the fetches due at the current instant.  Call once per
+    instant, before deciding. *)
+
 val advance : t -> unit
+(** Serve the cursor's request if its block is resident, otherwise stall
+    one unit; the clock moves on either way.
+    @raise Simulate.Internal_error on a stall with nothing in flight. *)
 
 (** {1 Schedule validation} *)
 

@@ -13,10 +13,10 @@
    a single disk with no contention it is stall-free whenever Aggressive
    is. *)
 
-let schedule (inst : Instance.t) : Fetch_op.schedule =
+let rule (inst : Instance.t) =
   let f = inst.Instance.fetch_time in
   let seq = inst.Instance.seq in
-  let decide d =
+  fun d ->
     let inst = Driver.instance d in
     for disk = 0 to inst.Instance.num_disks - 1 do
       if not (Driver.disk_busy d disk) then begin
@@ -41,8 +41,9 @@ let schedule (inst : Instance.t) : Fetch_op.schedule =
           end
       end
     done
-  in
-  Driver.schedule (Driver.run inst ~decide)
+
+let schedule (inst : Instance.t) : Fetch_op.schedule =
+  Driver.schedule (Driver.run inst ~decide:(rule inst))
 
 let stats inst = Driver.validate ~name:"Fixed-Horizon" inst (schedule inst)
 

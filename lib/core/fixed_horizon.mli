@@ -4,6 +4,9 @@
     as the disk allows.  A classic baseline between Aggressive (earliest)
     and Conservative/Delay (latest consistent). *)
 
+val rule : Instance.t -> Driver.t -> unit
+(** The decide callback {!schedule} runs on [inst]. *)
+
 val schedule : Instance.t -> Fetch_op.schedule
 
 val stats : Instance.t -> Simulate.stats

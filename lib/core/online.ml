@@ -31,69 +31,12 @@ type config = {
 
 let aggressive ~lookahead = { lookahead; delay = 0 }
 
-let schedule_reference (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
-  let n = Instance.length inst in
-  let seq = inst.Instance.seq in
-  let decide d =
-    if not (Driver.disk_busy d 0) then begin
-      let c = Driver.cursor d in
-      let horizon = Stdlib.min n (c + cfg.lookahead) in
-      (* LRU recency for invisible blocks: the last request strictly
-         before the cursor, or -1 if none yet - queried on demand rather
-         than accumulated per instant, which also keeps this callback a
-         pure function of the cursor/cache state (the driver's decide
-         contract). *)
-      let last_use b = Driver.prev_ref d ~block:b ~before:c in
-      (* Next missing block, visible-window only.  With the disk idle on
-         a single disk nothing is in flight, so the driver query's
-         in-flight exclusion is vacuous and this matches a plain
-         is-it-cached scan. *)
-      match Driver.next_missing d with
-      | None -> ()
-      | Some j when j >= horizon -> ()
-      | Some j ->
-        let i = c in
-        let d' = Stdlib.min cfg.delay (j - i) in
-        (* Furthest-next-reference within the window measured after i + d';
-           invisible blocks count as infinitely far, least-recently-used
-           first. *)
-        let candidates = Driver.cache_list d in
-        let score b =
-          let nx = Driver.next_ref d ~block:b ~from:(i + d') in
-          if nx < horizon then (0, nx, 0) else (1, - (last_use b), b)
-          (* visible blocks score below invisible; among invisible, older
-             last use = better victim *)
-        in
-        let better a b =
-          let (ka, sa, ta) = score a and (kb, sb, tb) = score b in
-          if ka <> kb then ka > kb
-          else if ka = 0 then sa > sb || (sa = sb && ta > tb)
-          else sa > sb || (sa = sb && ta > tb)
-        in
-        if not (Driver.cache_full d) then
-          (* a free slot needs no victim - in particular on a cold cache,
-             where there are no candidates at all *)
-          Driver.start_fetch d ~block:seq.(j) ~evict:None
-        else
-          (match candidates with
-           | [] -> ()
-           | first :: rest ->
-             let victim = List.fold_left (fun acc b -> if better b acc then b else acc) first rest in
-             let vk, vnx, _ = score victim in
-             if (vk = 1 || vnx > j)
-                && Driver.next_ref d ~block:victim ~from:i > j then
-               (* victim not requested before the miss (as far as we can
-                  see), including inside the delay window [i, i + d') -
-                  otherwise wait for those requests to be served first *)
-               Driver.start_fetch d ~block:seq.(j) ~evict:(Some victim))
-    end
-  in
-  Driver.schedule (Driver.run inst ~decide)
-
-(* Fast path: same decision rule without the O(k log n) score-everything
-   fold.  The reference victim order is "invisible blocks first, oldest
-   last use wins (ties: larger id); otherwise the furthest visible next
-   reference (ties: smaller id)".  Split the invisible class in two:
+(* The victim order is "invisible blocks first, oldest last use wins
+   (ties: larger id); otherwise the furthest visible next reference
+   (ties: smaller id)" - the score-everything fold of the seed rule,
+   which lib/check keeps as this rule's oracle.  Rather than scoring
+   every cached block per decision (O(k log n)), split the invisible
+   class in two:
 
    - Class A - no reference in [cursor, horizon) at all.  Kept in a lazy
      LRU heap ({!Evict_heap} keyed by [n - last_use], non-negative as the
@@ -112,9 +55,15 @@ let schedule_reference (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
      in [i + d', horizon).  At most d' candidates, enumerated directly.
 
    When neither class has a member, every cached block is visible and the
-   driver's {!Driver.furthest_cached} heap yields the reference fold's
-   victim (same strict-max, smaller-id tie-break). *)
-let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
+   driver's {!Driver.furthest_cached} heap yields the fold's victim (same
+   strict-max, smaller-id tie-break).
+
+   LRU recency is the last request strictly before the cursor, queried
+   on demand ([prev_ref]) rather than accumulated per instant, which
+   keeps the callback a pure function of the cursor/cache state (the
+   driver's decide contract). *)
+let rule (cfg : config) (inst : Instance.t) =
+  if cfg.lookahead < 1 then invalid_arg "Online: lookahead must be >= 1";
   let n = Instance.length inst in
   let seq = inst.Instance.seq in
   let num_blocks = Instance.num_blocks inst in
@@ -126,7 +75,7 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
     (fun b -> Evict_heap.add heap ~block:(mirror b) ~key:(n + 1))
     inst.Instance.initial_cache;
   let scanned = ref 0 in
-  let decide d =
+  fun d ->
     if not (Driver.disk_busy d 0) then begin
       let c = Driver.cursor d in
       while !scanned < c do
@@ -177,7 +126,7 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
             (* Class A passes the consistency gate by construction
                (nx >= horizon > j); a class-B best is still requested
                inside the delay window, so hold the fetch until those
-               requests are served - the reference applies the same
+               requests are served - the seed fold applies the same
                nx-from-cursor test. *)
             if Driver.next_ref d ~block:v ~from:c > j then
               Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
@@ -189,14 +138,9 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
              | _ -> ())
         end
     end
-  in
-  Driver.schedule (Driver.run inst ~decide)
 
 let schedule (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
-  if cfg.lookahead < 1 then invalid_arg "Online.schedule: lookahead must be >= 1";
-  match Driver.active_engine () with
-  | Driver.Fast -> schedule_fast cfg inst
-  | Driver.Reference -> schedule_reference cfg inst
+  Driver.schedule (Driver.run inst ~decide:(rule cfg inst))
 
 let stats cfg inst = Driver.validate ~name:"Online" inst (schedule cfg inst)
 

@@ -15,6 +15,11 @@ type config = {
 
 val aggressive : lookahead:int -> config
 
+val rule : config -> Instance.t -> Driver.t -> unit
+(** [rule cfg inst] is a fresh decide callback for [inst] (its LRU heap
+    is per-run state).
+    @raise Invalid_argument if [lookahead < 1]. *)
+
 val schedule : config -> Instance.t -> Fetch_op.schedule
 (** @raise Invalid_argument if [lookahead < 1]. *)
 

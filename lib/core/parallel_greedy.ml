@@ -35,9 +35,9 @@ let aggressive_stats inst = Driver.validate ~name:"Aggressive-D" inst (aggressiv
 let aggressive_stall inst = (aggressive_stats inst).Simulate.stall_time
 
 (* Conservative-D: MIN replacements dispatched per disk. *)
-let conservative_schedule (inst : Instance.t) : Fetch_op.schedule =
+let conservative_rule (inst : Instance.t) =
   let pending = ref (Conservative.plan inst) in
-  let decide d =
+  fun d ->
     (* Dispatch a consecutive prefix of the MIN replacement list: stopping
        at the first non-startable fetch preserves MIN's eviction-order
        invariants (a later replacement may rely on an earlier one having
@@ -55,8 +55,9 @@ let conservative_schedule (inst : Instance.t) : Fetch_op.schedule =
         else all
     in
     pending := dispatch !pending
-  in
-  Driver.schedule (Driver.run inst ~decide)
+
+let conservative_schedule (inst : Instance.t) : Fetch_op.schedule =
+  Driver.schedule (Driver.run inst ~decide:(conservative_rule inst))
 
 let conservative_stats inst =
   Driver.validate ~name:"Conservative-D" inst (conservative_schedule inst)

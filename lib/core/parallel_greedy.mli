@@ -14,6 +14,10 @@ val aggressive_stats : Instance.t -> Simulate.stats
 
 val aggressive_stall : Instance.t -> int
 
+val conservative_rule : Instance.t -> Driver.t -> unit
+(** [conservative_rule inst] is a fresh Conservative-D decide callback
+    (the pending MIN replacements are per-run state). *)
+
 val conservative_schedule : Instance.t -> Fetch_op.schedule
 
 val conservative_stats : Instance.t -> Simulate.stats

@@ -78,9 +78,10 @@ let decide hints d =
     end
   done
 
+let rule (inst : Instance.t) = decide (eviction_hints inst)
+
 let schedule (inst : Instance.t) : Fetch_op.schedule =
-  let hints = eviction_hints inst in
-  Driver.schedule (Driver.run inst ~decide:(decide hints))
+  Driver.schedule (Driver.run inst ~decide:(rule inst))
 
 let stats inst = Driver.validate ~name:"Reverse-Aggressive" inst (schedule inst)
 

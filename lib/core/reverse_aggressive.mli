@@ -18,6 +18,10 @@ val eviction_hints : Instance.t -> (int, int) Hashtbl.t
 (** block [b] -> preferred victim when fetching [b], harvested from the
     reverse run. *)
 
+val rule : Instance.t -> Driver.t -> unit
+(** The decide callback {!schedule} runs on [inst]: furthest-reference
+    Aggressive steered by [eviction_hints inst], computed once here. *)
+
 val schedule : Instance.t -> Fetch_op.schedule
 
 val stats : Instance.t -> Simulate.stats

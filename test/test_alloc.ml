@@ -1,0 +1,109 @@
+(* Exact allocation pins for the timeline engine's layers.
+
+   Each row runs one layer on a fixed input and reads the words it
+   allocated, settled: a [Gc.minor ()] at both edges of the window, then
+   minor + major - promoted.  Read that way the figure is a function of
+   the code alone - it repeats to the word across processes, call orders
+   and heap offsets - so the pins use exact equality, not a ceiling.
+   Without the collections the figure depends on the minor heap's fill
+   at the window's edges and can be off by a few percent.
+
+   The figures are for OCaml 5.1 without flambda (the compiler CI
+   uses), built by dune's default profile; another compiler may
+   allocate differently and needs its own table.  They hold with and
+   without OCAMLRUNPARAM=b.
+
+   A change that moves a row on purpose re-records the table here and
+   states each row's delta in CHANGES.md, as the digest pins in
+   test_timeline_pins.ml do.
+
+   - Batch: every batch scheduler's [schedule] on a 10^5-request
+     Zipf(0.9) trace over 1,562 blocks, k = 64, F = 8 (the two D-disk
+     greedy schedulers on the same trace striped over four disks).
+   - Stream: every registered streaming policy at window 64 over
+     [Stream.of_array] of the same trace. *)
+
+let settled_words f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  ignore (Sys.opaque_identity r);
+  int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let n = 100_000
+let num_blocks = 1_562
+let k = 64
+let fetch_time = 8
+
+let seq = lazy (Workload.zipf ~seed:1 ~alpha:0.9 ~n ~num_blocks)
+let single = lazy (Workload.single_instance ~k ~fetch_time (Lazy.force seq))
+
+let striped4 =
+  lazy
+    (Workload.parallel_instance ~k ~fetch_time ~num_disks:4 ~layout:Workload.striped_layout
+       (Lazy.force seq))
+
+let batch_rows () =
+  let single = Lazy.force single and par = Lazy.force striped4 in
+  let d0 = Bounds.delay_opt_d ~f:fetch_time in
+  [ ("aggressive", fun () -> Aggressive.schedule single);
+    ("conservative", fun () -> Conservative.schedule single);
+    ("delay(d0)", fun () -> Delay.schedule ~d:d0 single);
+    ("combination", fun () -> Combination.schedule single);
+    ("fixed_horizon", fun () -> Fixed_horizon.schedule single);
+    ("online(32)", fun () -> Online.schedule (Online.aggressive ~lookahead:32) single);
+    ("reverse_aggressive", fun () -> Reverse_aggressive.schedule single);
+    ("aggressive-D4", fun () -> Parallel_greedy.aggressive_schedule par);
+    ("conservative-D4", fun () -> Parallel_greedy.conservative_schedule par) ]
+
+let stream_rows () =
+  let seq = Lazy.force seq in
+  List.map
+    (fun pname ->
+       let build = Option.get (Prefetcher.find pname) in
+       ( pname,
+         fun () ->
+           Stream.run ~k ~fetch_time ~window:64 (Stream.of_array seq) (build ~fetch_time) ))
+    [ "aggressive"; "delay"; "markov"; "obl"; "demand" ]
+
+(* Settled words per row. *)
+let pinned_batch =
+  [ ("aggressive", 2_195_039);
+    ("conservative", 3_265_272);
+    ("delay(d0)", 3_286_502);
+    ("combination", 2_195_083);
+    ("fixed_horizon", 2_283_502);
+    ("online(32)", 3_146_778);
+    ("reverse_aggressive", 4_808_956);
+    ("aggressive-D4", 2_886_380);
+    ("conservative-D4", 3_940_441) ]
+
+let pinned_stream =
+  [ ("aggressive", 1_843_491);
+    ("delay", 3_614_524);
+    ("markov", 2_367_359);
+    ("obl", 2_920_174);
+    ("demand", 1_709_365) ]
+
+(* Measure every row, then report every mismatch at once, so a
+   deliberate change can re-record the whole table from one failure. *)
+let check_table pinned rows () =
+  let rows = rows () in
+  Alcotest.(check (list string)) "rows" (List.map fst pinned) (List.map fst rows);
+  let measured = List.map (fun (name, f) -> (name, settled_words f)) rows in
+  let wrong =
+    List.filter_map
+      (fun ((name, want), (_, got)) ->
+         if want = got then None
+         else Some (Printf.sprintf "%s: pinned %d, measured %d (%+d)" name want got (got - want)))
+      (List.combine pinned measured)
+  in
+  if wrong <> [] then Alcotest.failf "settled words moved:\n%s" (String.concat "\n" wrong)
+
+let () =
+  Alcotest.run "alloc"
+    [ ("settled words",
+       [ Alcotest.test_case "batch schedulers" `Quick (check_table pinned_batch batch_rows);
+         Alcotest.test_case "stream policies" `Quick (check_table pinned_stream stream_rows) ]) ]

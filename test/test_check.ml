@@ -117,7 +117,7 @@ let test_selftest_catches_planted_bugs () =
   match Ck_selftest.run ~seed:42 ~max_cases:500 with
   | Error e -> Alcotest.fail e
   | Ok findings ->
-    Alcotest.(check int) "two planted bugs" 2 (List.length findings);
+    Alcotest.(check int) "three planted bugs" 3 (List.length findings);
     List.iter
       (fun (f : Ck_selftest.finding) ->
         let n = Instance.length f.Ck_selftest.shrunk in

@@ -113,20 +113,20 @@ let test_degenerate_over_corpus () =
    produce their schedules through new machinery; pin that the delayed
    executor's degenerate contract holds on exactly those plans too:
    window 0 with Faults.none AND with a jitter-free Const F plan must be
-   structurally identical to Simulate.run, and the fast-engine plan must
-   equal the reference-engine plan before either enters the executor. *)
+   structurally identical to Simulate.run, and the production plan must
+   equal the seed loop's (Ck_seed) before either enters the executor. *)
 let test_degenerate_on_fast_paths () =
   let fetch_time = 4 in
   let seq = Workload.zipf ~seed:21 ~alpha:0.9 ~n:300 ~num_blocks:24 in
   let inst = Workload.single_instance ~k:8 ~fetch_time seq in
   let const_f = Faults.make ~seed:1 ~latency:(Faults.Const fetch_time) () in
   List.iter
-    (fun (name, schedule) ->
-       let sched = schedule inst in
-       let ref_sched = Driver.with_engine Driver.Reference (fun () -> schedule inst) in
-       Alcotest.(check bool)
-         (Printf.sprintf "%s: fast plan = reference plan" name)
-         true (sched = ref_sched);
+    (fun (rule : Ck_seed.rule) ->
+       let name = rule.Ck_seed.name in
+       let sched = rule.Ck_seed.schedule inst in
+       (match Ck_seed.check inst [ rule ] with
+        | Ck_oracle.Fail { msg; _ } -> Alcotest.failf "production plan <> seed-loop plan: %s" msg
+        | Ck_oracle.Pass | Ck_oracle.Skip _ -> ());
        (* Events + attribution on both sides: Delayed.run with a faults
           plan records them unconditionally, so the bare executor must
           too for the structural comparison to be meaningful. *)
@@ -143,10 +143,11 @@ let test_degenerate_on_fast_paths () =
        Alcotest.(check bool)
          (Printf.sprintf "%s: const-F plan = classic" name)
          true (dc.Delayed.base = s))
-    [ ("conservative", Conservative.schedule);
-      ("online(32)", Online.schedule (Online.aggressive ~lookahead:32));
-      ("online(8,d2)", Online.schedule Online.{ lookahead = 8; delay = 2 });
-      ("delay(d0)", Delay.schedule ~d:(Bounds.delay_opt_d ~f:fetch_time)) ]
+    Ck_seed.
+      [ conservative;
+        online (Online.aggressive ~lookahead:32);
+        online Online.{ lookahead = 8; delay = 2 };
+        delay (Bounds.delay_opt_d ~f:fetch_time) ]
 
 let test_queueing_over_corpus () =
   for index = 0 to 39 do

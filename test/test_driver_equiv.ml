@@ -1,68 +1,64 @@
 (* Driver-equivalence suite (PR 5).
 
-   The fast driver engine (monotone next-missing frontiers, the
-   lazy-invalidation eviction heap, the event-skipping clock) must be
-   observationally identical to the seed implementation, which lives on
-   as Driver.Reference.  "Identical" here is the strongest available
-   check: byte-identical Fetch_op.schedules - same fetches, same
-   anchors, same delays, same evictions, same order - for every
-   driver-based scheduler across the conformance fuzzer's tiered corpus
-   plus a scale-ish smoke, with stall accounting cross-checked through
-   the executor.
+   Production runs every batch scheduler on Driver.run: monotone
+   next-missing frontiers, the lazy-invalidation eviction heap and the
+   event-skipping clock.  The seed engine lives on as a checking oracle,
+   Ck_seed: a per-instant loop over Driver's stepping functions that
+   compares every frontier and heap answer with a fresh scan, running
+   Online's and Delay's seed rules.  Production must be observationally
+   identical to it.  "Identical" here is the strongest available check:
+   byte-identical Fetch_op.schedules - same fetches, same anchors, same
+   delays, same evictions, same order - for every driver-based
+   scheduler across the conformance fuzzer's tiered corpus plus a
+   scale-ish smoke, with stall accounting cross-checked through the
+   executor.
 
    Also the unit tests for Evict_heap's lazy invalidation. *)
-
-let fail_diff ~descr ~alg (fast : Fetch_op.schedule) (ref_ : Fetch_op.schedule) =
-  let pp sched =
-    String.concat "; "
-      (List.map (fun op -> Format.asprintf "%a" Fetch_op.pp op) sched)
-  in
-  Alcotest.failf "%s: %s schedules diverge@.fast: %s@.ref:  %s" alg descr (pp fast) (pp ref_)
 
 (* Schedulers under test.  Delay at several d (0 = Aggressive's twin,
    large = Conservative-ish), Online at several lookaheads; the parallel
    entries only run on multi-disk instances, the single-disk-only ones
    skip them. *)
 let single_disk_algorithms =
-  [ ("aggressive", Aggressive.schedule);
-    ("conservative", Conservative.schedule);
-    ("delay(0)", Delay.schedule ~d:0);
-    ("delay(1)", Delay.schedule ~d:1);
-    ("delay(3)", Delay.schedule ~d:3);
-    ("combination", Combination.schedule);
-    ("online(1)", Online.schedule (Online.aggressive ~lookahead:1));
-    ("online(4)", Online.schedule (Online.aggressive ~lookahead:4));
-    ("online(8)", Online.schedule (Online.aggressive ~lookahead:8));
-    (* Delayed online variants exercise the fast path's class-B window
-       (blocks referenced inside [i, i+d') only) against the reference
-       score-everything fold. *)
-    ("online(4,d2)", Online.schedule Online.{ lookahead = 4; delay = 2 });
-    ("online(8,d1)", Online.schedule Online.{ lookahead = 8; delay = 1 });
-    ("online(8,d3)", Online.schedule Online.{ lookahead = 8; delay = 3 }) ]
+  Ck_seed.
+    [ aggressive;
+      conservative;
+      delay 0;
+      delay 1;
+      delay 3;
+      combination;
+      online (Online.aggressive ~lookahead:1);
+      online (Online.aggressive ~lookahead:4);
+      online (Online.aggressive ~lookahead:8);
+      (* Delayed online variants exercise the production rule's class-B
+         window (blocks referenced inside [i, i+d') only) against the
+         seed score-everything fold. *)
+      online Online.{ lookahead = 4; delay = 2 };
+      online Online.{ lookahead = 8; delay = 1 };
+      online Online.{ lookahead = 8; delay = 3 } ]
 
-let any_disk_algorithms =
-  [ ("fixed-horizon", Fixed_horizon.schedule);
-    ("reverse-aggressive", Reverse_aggressive.schedule) ]
-
-let parallel_algorithms =
-  [ ("aggressive-D", Parallel_greedy.aggressive_schedule);
-    ("conservative-D", Parallel_greedy.conservative_schedule) ]
+let any_disk_algorithms = Ck_seed.[ fixed_horizon; reverse_aggressive ]
+let parallel_algorithms = Ck_seed.[ aggressive_d; conservative_d ]
 
 let algorithms_for (inst : Instance.t) =
   if inst.Instance.num_disks = 1 then single_disk_algorithms @ any_disk_algorithms
   else any_disk_algorithms @ parallel_algorithms
 
-let check_instance ~descr inst =
+let check_rules ~descr inst rules =
   List.iter
-    (fun (alg, schedule) ->
-       let fast = schedule inst in
-       let ref_ = Driver.with_engine Driver.Reference (fun () -> schedule inst) in
-       if fast <> ref_ then fail_diff ~descr ~alg fast ref_;
+    (fun (rule : Ck_seed.rule) ->
+       (match Ck_seed.check inst [ rule ] with
+        | Ck_oracle.Fail { msg; _ } -> Alcotest.failf "%s: %s" descr msg
+        | Ck_oracle.Pass | Ck_oracle.Skip _ -> ());
        (* Replay sanity: the shared schedule must be executor-valid. *)
-       match Simulate.run inst fast with
+       match Simulate.run inst (rule.Ck_seed.schedule inst) with
        | Ok _ -> ()
-       | Error e -> Alcotest.failf "%s: %s invalid at t=%d: %s" descr alg e.Simulate.at_time e.Simulate.reason)
-    (algorithms_for inst)
+       | Error e ->
+         Alcotest.failf "%s: %s invalid at t=%d: %s" descr rule.Ck_seed.name e.Simulate.at_time
+           e.Simulate.reason)
+    rules
+
+let check_instance ~descr inst = check_rules ~descr inst (algorithms_for inst)
 
 (* The ck_gen tiered corpus: deterministic cases cycling Tiny / Single /
    Parallel, exactly what ipc fuzz feeds its oracles. *)
@@ -76,7 +72,7 @@ let test_corpus_equivalence () =
 
 (* Medium-size single-disk instances: large enough for real frontier
    movement, eviction-heap churn and long stall runs, small enough that
-   the quadratic reference engine stays fast. *)
+   the seed loop's per-instant scans stay fast. *)
 let test_medium_equivalence () =
   List.iter
     (fun (fam : Workload.family) ->
@@ -96,31 +92,23 @@ let test_theorem2_equivalence () =
   let inst = Workload.theorem2_lower_bound ~k:9 ~fetch_time:3 ~phases:12 in
   check_instance ~descr:"theorem2 k=9 F=3" inst
 
-(* Delayed online used to livelock here in both engines: with the victim
-   scored from i + d' only, it evicted the block the cursor was stalled
-   on and ping-ponged blocks 0/1 through the k = 1 cache forever.  The
+(* Delayed online used to livelock here: with the victim scored from
+   i + d' only, it evicted the block the cursor was stalled on and
+   ping-ponged blocks 0/1 through the k = 1 cache forever.  The
    consistency gate (victim's next visible request from the cursor must
-   land past the miss) makes it terminate; both engines must still agree
-   and the executor must accept the schedule. *)
+   land past the miss) makes it terminate; production and the seed rule
+   must still agree and the executor must accept the schedule. *)
 let test_online_delay_livelock () =
   let inst =
     Instance.single_disk ~k:1 ~fetch_time:2 ~initial_cache:[ 0 ]
       [| 0; 1; 0; 1; 0; 1 |]
   in
-  List.iter
-    (fun (la, dl) ->
-       let cfg = Online.{ lookahead = la; delay = dl } in
-       let fast = Online.schedule cfg inst in
-       let ref_ = Driver.with_engine Driver.Reference (fun () -> Online.schedule cfg inst) in
-       if fast <> ref_ then
-         fail_diff ~descr:"livelock family" ~alg:(Printf.sprintf "online(%d,d%d)" la dl) fast ref_;
-       match Simulate.run inst fast with
-       | Ok _ -> ()
-       | Error e ->
-         Alcotest.failf "online(%d,d%d) invalid at t=%d: %s" la dl e.Simulate.at_time e.Simulate.reason)
-    [ (4, 2); (2, 1); (8, 3); (1, 0) ]
+  check_rules ~descr:"livelock family" inst
+    (List.map
+       (fun (la, dl) -> Ck_seed.online Online.{ lookahead = la; delay = dl })
+       [ (4, 2); (2, 1); (8, 3); (1, 0) ])
 
-(* Driver-level stall accounting must agree between engines too (the
+(* Driver-level stall accounting must agree with the seed loop too (the
    schedules being equal makes it so unless the event-skipping clock
    miscounts bulk stalls). *)
 let test_stall_accounting () =
@@ -129,9 +117,9 @@ let test_stall_accounting () =
       (Workload.sequential_scan ~n:500 ~num_blocks:50)
   in
   let fast = Driver.run inst ~decide:Aggressive.decide in
-  let ref_ = Driver.with_engine Driver.Reference (fun () -> Driver.run inst ~decide:Aggressive.decide) in
-  Alcotest.(check int) "stall" (Driver.stall_time ref_) (Driver.stall_time fast);
-  Alcotest.(check int) "elapsed clock" (Driver.time ref_) (Driver.time fast);
+  let seed = Ck_seed.run inst ~decide:Aggressive.decide in
+  Alcotest.(check int) "stall" (Driver.stall_time seed) (Driver.stall_time fast);
+  Alcotest.(check int) "elapsed clock" (Driver.time seed) (Driver.time fast);
   match Simulate.run inst (Driver.schedule fast) with
   | Ok s -> Alcotest.(check int) "executor stall" s.Simulate.stall_time (Driver.stall_time fast)
   | Error e -> Alcotest.failf "invalid: %s" e.Simulate.reason

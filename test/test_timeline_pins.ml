@@ -4,11 +4,12 @@
    registered streaming policy is run over a fixed corpus, and each
    result is digested (Marshal [No_sharing] + MD5) against a digest
    recorded before the batch and streaming engines were merged into one
-   loop.  Unlike the Fast-vs-Reference suite, which compares two modes
-   of the same core (so a change to the shared fetch, completion or
-   cache code moves both sides at once), these pins compare against a
-   fixed past, so any drift in a schedule, a stall count, an elapsed
-   time or an engine counter fails here.
+   loop.  Unlike the seed-loop oracle (Ck_seed, behind
+   test_driver_equiv), which steps the same engine core one instant at
+   a time (so a change to the shared fetch, completion or cache code
+   moves both sides at once), these pins compare against a fixed past,
+   so any drift in a schedule, a stall count, an elapsed time or an
+   engine counter fails here.
 
    - Batch: the schedule plus the [driver.*] counters of the run (stall
      units, fetches, frontier, clock-skip and heap activity); for the
