@@ -51,6 +51,14 @@ let show_victim = function
   | None -> "none"
   | Some (b, nx) -> Printf.sprintf "b%d (next r%d)" b (nx + 1)
 
+(* The engine's sentinel answers as options: a position or none, and a
+   victim with its next reference from [from] or none. *)
+let pos_answer p = if p < 0 then None else Some p
+
+let victim_answer d ~from =
+  let v = Driver.furthest_cached d ~from in
+  if v < 0 then None else Some (v, Driver.next_ref d ~block:v ~from)
+
 (* [query] names the query; it is only formatted on a mismatch. *)
 let agree d query show ~fast ~scan =
   if fast <> scan then
@@ -66,13 +74,13 @@ let agree d query show ~fast ~scan =
 let cross_check d ~reach =
   let c = Driver.cursor d in
   let j = scan_missing d ~disk:(-1) c in
-  agree d (fun () -> "next_missing") show_pos ~fast:(Driver.next_missing d) ~scan:j;
+  agree d (fun () -> "next_missing") show_pos ~fast:(pos_answer (Driver.next_missing d)) ~scan:j;
   for disk = 0 to num_disks d - 1 do
     if not (Driver.disk_busy d disk) then
       agree d
         (fun () -> Printf.sprintf "next_missing_on_disk %d" disk)
         show_pos
-        ~fast:(Driver.next_missing_on_disk d ~disk ~from:c)
+        ~fast:(pos_answer (Driver.next_missing_on_disk d ~disk ~from:c))
         ~scan:(scan_missing d ~disk c)
   done;
   let cached = cached_blocks d in
@@ -83,7 +91,7 @@ let cross_check d ~reach =
     agree d
       (fun () -> Printf.sprintf "furthest_cached ~from:r%d" (from + 1))
       show_victim
-      ~fast:(Driver.furthest_cached d ~from)
+      ~fast:(victim_answer d ~from)
       ~scan:(scan_furthest d cached ~from)
   done
 
@@ -127,7 +135,7 @@ let online_rule (cfg : Online.config) (inst : Instance.t) =
          a single disk nothing is in flight, so the driver query's
          in-flight exclusion is vacuous and this matches a plain
          is-it-cached scan. *)
-      match Driver.next_missing d with
+      match pos_answer (Driver.next_missing d) with
       | None -> ()
       | Some j when j >= horizon -> ()
       | Some j ->
@@ -193,7 +201,7 @@ let delay_rule ~d () =
        | Some _ -> ()
        | None ->
          let i = Driver.cursor drv in
-         (match Driver.next_missing drv with
+         (match pos_answer (Driver.next_missing drv) with
           | None -> ()
           | Some j ->
             if not (Driver.cache_full drv) then
@@ -202,16 +210,16 @@ let delay_rule ~d () =
             else begin
               (* Is some cached block requested only at or after position
                  j?  Equivalent to the furthest next reference (measured
-                 from the cursor) landing past j - one heap peek instead
+                 from the cursor) landing past j - one heap query instead
                  of a scan over the whole cache. *)
               let exists_late =
-                match Driver.furthest_cached drv ~from:i with
+                match victim_answer drv ~from:i with
                 | Some (_, nx) -> nx > j
                 | None -> false
               in
               if exists_late then begin
                 let d' = Stdlib.min d (j - i) in
-                match Driver.furthest_cached drv ~from:(i + d') with
+                match victim_answer drv ~from:(i + d') with
                 | None -> ()
                 | Some (b, _) -> commit_victim drv ~i ~j b
               end

@@ -9,9 +9,8 @@
    blocks about to be requested and misses on nearly every request. *)
 let broken_decide d =
   if not (Driver.disk_busy d 0) then
-    match Driver.next_missing d with
-    | None -> ()
-    | Some pos ->
+    let pos = Driver.next_missing d in
+    if pos >= 0 then begin
       let inst = Driver.instance d in
       let block = inst.Instance.seq.(pos) in
       if Driver.has_free_slot d then Driver.start_fetch d ~block ~evict:None
@@ -32,6 +31,7 @@ let broken_decide d =
         | None -> ()
         | Some (v, _) -> Driver.start_fetch d ~block ~evict:(Some v)
       end
+    end
 
 let broken_aggressive_schedule inst =
   Driver.schedule (Driver.run inst ~decide:broken_decide)

@@ -15,16 +15,18 @@
 
 let decide d =
   if not (Driver.disk_busy d 0) then begin
-    match Driver.next_missing d with
-    | None -> ()
-    | Some p ->
+    let p = Driver.next_missing d in
+    if p >= 0 then begin
       let block = Driver.request_at d p in
       if not (Driver.cache_full d) then Driver.start_fetch d ~block ~evict:None
       else begin
-        match Driver.furthest_cached d ~from:(Driver.cursor d) with
-        | Some (e, next) when next > p -> Driver.start_fetch d ~block ~evict:(Some e)
-        | Some _ | None -> ()  (* every cached block is requested before p *)
+        let c = Driver.cursor d in
+        let e = Driver.furthest_cached d ~from:c in
+        (* Otherwise every cached block is requested before p. *)
+        if e >= 0 && Driver.next_ref d ~block:e ~from:c > p then
+          Driver.start_fetch d ~block ~evict:(Some e)
       end
+    end
   end
 
 (* Returns the schedule; use [stats] for validated timing. *)

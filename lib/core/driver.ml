@@ -327,17 +327,14 @@ let rec scan_missing d slot i =
    in-tree caller - scan plainly and learn nothing.) *)
 let find_missing d slot from =
   let frontier = Stdlib.max d.missing_from.(slot) d.cursor in
-  let r =
-    if from >= d.cursor && from <= frontier then begin
-      let r = scan_missing d slot frontier in
-      let nf = if r < 0 then d.limit else r in
-      if nf > d.missing_from.(slot) then d.frontier_advances <- d.frontier_advances + 1;
-      d.missing_from.(slot) <- nf;
-      r
-    end
-    else scan_missing d slot from
-  in
-  if r < 0 then None else Some r
+  if from >= d.cursor && from <= frontier then begin
+    let r = scan_missing d slot frontier in
+    let nf = if r < 0 then d.limit else r in
+    if nf > d.missing_from.(slot) then d.frontier_advances <- d.frontier_advances + 1;
+    d.missing_from.(slot) <- nf;
+    r
+  end
+  else scan_missing d slot from
 
 let next_missing ?from d =
   find_missing d d.num_disks (match from with Some f -> f | None -> d.cursor)
@@ -345,7 +342,7 @@ let next_missing ?from d =
 let next_missing_on_disk d ~disk ~from = find_missing d disk from
 
 (* The cached block whose next reference measured from [from] is furthest
-   in the future (ties: smallest id).  None if the cache is empty.
+   in the future (ties: smallest id), or -1 if the cache is empty.
 
    The heap top answers queries at the cursor directly.  For [from >
    cursor] (Delay's d' window) the live keys of blocks referenced inside
@@ -355,27 +352,38 @@ let next_missing_on_disk d ~disk ~from = find_missing d disk from
    them and the heap covers the rest (any entry with key < from belongs
    to the window, and the valid top dominates all entries with key >=
    from).  Below the cursor the keys say nothing: score every cached
-   block. *)
+   block.  The answer is the maximum of one total order, so the order in
+   which candidates are scored does not matter. *)
 let furthest_cached d ~from =
-  let best = ref (-1) in
-  let best_next = ref (-1) in
-  let consider b nx =
-    if nx > !best_next || (nx = !best_next && b < !best) then begin
-      best_next := nx;
-      best := b
-    end
-  in
+  let best = ref (-1) and best_next = ref (-1) in
   if from >= d.cursor then begin
+    let top = Evict_heap.top d.heap in
+    if top >= 0 && Evict_heap.key_of d.heap top >= from then begin
+      best := top;
+      best_next := Evict_heap.key_of d.heap top
+    end;
     for p = d.cursor to Stdlib.min (from - 1) (d.limit - 1) do
       let b = request_at d p in
-      if d.in_cache.(b) then consider b (next_ref d ~block:b ~from)
-    done;
-    match Evict_heap.peek d.heap with
-    | Some (b, key) when key >= from -> consider b key
-    | Some _ | None -> ()
+      if d.in_cache.(b) then begin
+        let nx = next_ref d ~block:b ~from in
+        if nx > !best_next || (nx = !best_next && b < !best) then begin
+          best := b;
+          best_next := nx
+        end
+      end
+    done
   end
-  else Array.iteri (fun b c -> if c then consider b (next_ref d ~block:b ~from)) d.in_cache;
-  if !best < 0 then None else Some (!best, !best_next)
+  else
+    for b = 0 to Array.length d.in_cache - 1 do
+      if d.in_cache.(b) then begin
+        let nx = next_ref d ~block:b ~from in
+        if nx > !best_next || (nx = !best_next && b < !best) then begin
+          best := b;
+          best_next := nx
+        end
+      end
+    done;
+  !best
 
 (* ------------------------------------------------------------------ *)
 (* Actions. *)
@@ -406,14 +414,16 @@ let start_fetch ?(disk = 0) d ~block ~evict =
      let ed = disk_of d e in
      if q < d.missing_from.(ed) then d.missing_from.(ed) <- q;
      cache_remove d e;
-     if Event_log.enabled () then
+     if Event_log.enabled () then begin
        (* The runner-up is whatever now tops the heap: the candidate the
-          evicted block beat.  [peek]'s lazy-invalidation cleanup is
+          evicted block beat.  [top]'s lazy-invalidation cleanup is
           semantically transparent, so querying it here is safe. *)
+       let r = Evict_heap.top d.heap in
        Event_log.record
          (Event_log.Evict
             { time = d.time; cursor = d.cursor; block = e; next_ref = q;
-              runner_up = Evict_heap.peek d.heap });
+              runner_up = (if r < 0 then None else Some (r, Evict_heap.key_of d.heap r)) })
+     end;
      (match d.index with Win w -> w.hooks.on_evict d ~block:e | Full _ -> ())
    | None ->
      if d.cache_count >= d.k then internal_error d "fetch of b%d with no free slot" block);
@@ -424,7 +434,7 @@ let start_fetch ?(disk = 0) d ~block ~evict =
       d.ops <- ops
     end;
     d.ops.(d.op_count) <-
-      Fetch_op.make ~at_cursor:d.cursor ~delay:(d.time - d.reach_cur) ~disk ~block ~evict ();
+      { Fetch_op.at_cursor = d.cursor; delay = d.time - d.reach_cur; disk; block; evict };
     d.op_count <- d.op_count + 1
   end;
   d.fly_block.(disk) <- block;
@@ -573,9 +583,9 @@ let demand_fetch d =
         let evict =
           if has_free_slot d then None
           else
-            match furthest_cached d ~from:d.cursor with
-            | Some (e, _) -> Some e
-            | None -> internal_error d "demand fetch of b%d with full empty cache" b
+            let e = furthest_cached d ~from:d.cursor in
+            if e < 0 then internal_error d "demand fetch of b%d with full empty cache" b;
+            Some e
         in
         w.demand_fetches <- w.demand_fetches + 1;
         start_fetch ~disk d ~block:b ~evict

@@ -131,21 +131,26 @@ val disk_busy : t -> int -> bool
 val any_disk_busy : t -> bool
 val block_in_flight : t -> int -> bool
 
-val next_missing : ?from:int -> t -> int option
+(** The frontier and heap queries answer with a sentinel rather than an
+    option, so a rule's per-instant questions allocate nothing. *)
+
+val next_missing : ?from:int -> t -> int
 (** First known position at or after [from] (default: the cursor) whose
-    block is neither cached nor in flight.  Amortized O(1) via the
-    monotone frontier when [from <=] the last answer (the only pattern
-    schedulers use); evictions clamp the frontier back. *)
+    block is neither cached nor in flight, or [-1] if there is none.
+    Amortized O(1) via the monotone frontier when [from <=] the last
+    answer (the only pattern schedulers use); evictions clamp the
+    frontier back. *)
 
-val next_missing_on_disk : t -> disk:int -> from:int -> int option
-(** Per-disk variant with its own monotone frontier. *)
+val next_missing_on_disk : t -> disk:int -> from:int -> int
+(** Per-disk variant with its own monotone frontier; [-1] for none. *)
 
-val furthest_cached : t -> from:int -> (int * int) option
+val furthest_cached : t -> from:int -> int
 (** The cached block whose next reference measured from [from] is furthest
-    in the future (ties broken towards smaller ids), with that reference
-    position (see {!next_ref} for blocks not requested again).  O(log k)
-    amortized from the eviction-candidate heap, plus an O(from - cursor)
-    re-scoring pass when querying beyond the cursor (Delay's d' window). *)
+    in the future (ties broken towards smaller ids), or [-1] if the cache
+    is empty.  [next_ref ~block ~from] reads that reference position (see
+    {!next_ref} for blocks not requested again).  O(log k) amortized from
+    the eviction-candidate heap, plus an O(from - cursor) re-scoring pass
+    when querying beyond the cursor (Delay's d' window). *)
 
 (** {1 Actions} *)
 

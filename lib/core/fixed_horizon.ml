@@ -20,25 +20,23 @@ let rule (inst : Instance.t) =
     let inst = Driver.instance d in
     for disk = 0 to inst.Instance.num_disks - 1 do
       if not (Driver.disk_busy d disk) then begin
-        let missing =
+        let c = Driver.cursor d in
+        let p =
           if inst.Instance.num_disks = 1 then Driver.next_missing d
-          else Driver.next_missing_on_disk d ~disk ~from:(Driver.cursor d)
+          else Driver.next_missing_on_disk d ~disk ~from:c
         in
-        match missing with
-        | None -> ()
-        | Some p ->
-          (* Only start once the cursor is within the horizon: p - cursor
-             <= F.  (If the disk was busy at the horizon point we are
-             already late and start immediately.) *)
-          if p - Driver.cursor d <= f then begin
-            let block = seq.(p) in
-            if not (Driver.cache_full d) then Driver.start_fetch d ~disk ~block ~evict:None
-            else begin
-              match Driver.furthest_cached d ~from:(Driver.cursor d) with
-              | Some (e, next) when next > p -> Driver.start_fetch d ~disk ~block ~evict:(Some e)
-              | Some _ | None -> ()
-            end
+        (* Only start once the cursor is within the horizon: p - cursor
+           <= F.  (If the disk was busy at the horizon point we are
+           already late and start immediately.) *)
+        if p >= 0 && p - c <= f then begin
+          let block = seq.(p) in
+          if not (Driver.cache_full d) then Driver.start_fetch d ~disk ~block ~evict:None
+          else begin
+            let e = Driver.furthest_cached d ~from:c in
+            if e >= 0 && Driver.next_ref d ~block:e ~from:c > p then
+              Driver.start_fetch d ~disk ~block ~evict:(Some e)
           end
+        end
       end
     done
 

@@ -45,7 +45,7 @@ let aggressive ~lookahead = { lookahead; delay = 0 }
      Entries are (re-)added whenever a request is served, by a monotone
      [scanned] sweep, plus one entry per initial-cache block at
      last-use -1; keys are therefore always current for resident blocks.
-     [peek] discards entries that are non-resident or visible - both
+     [top_a] discards entries that are non-resident or visible - both
      permanent states until the block's next serve re-adds it (a block's
      next reference is fixed while it sits in cache, and the horizon
      never moves backwards), so discarding loses nothing.  A block
@@ -62,6 +62,21 @@ let aggressive ~lookahead = { lookahead; delay = 0 }
    on demand ([prev_ref]) rather than accumulated per instant, which
    keeps the callback a pure function of the cursor/cache state (the
    driver's decide contract). *)
+
+(* Class A's top: the LRU heap's best entry, after discarding entries
+   whose block is non-resident or visible before [horizon].  Returns the
+   heap id (the mirrored block), or -1 when the class is empty. *)
+let rec top_a heap ~num_blocks d ~cursor ~horizon =
+  let m = Evict_heap.top heap in
+  if m < 0 then -1
+  else
+    let b = num_blocks - 1 - m in
+    if (not (Driver.in_cache d b)) || Driver.next_ref d ~block:b ~from:cursor < horizon then begin
+      Evict_heap.remove heap ~block:m;
+      top_a heap ~num_blocks d ~cursor ~horizon
+    end
+    else m
+
 let rule (cfg : config) (inst : Instance.t) =
   if cfg.lookahead < 1 then invalid_arg "Online: lookahead must be >= 1";
   let n = Instance.length inst in
@@ -84,59 +99,50 @@ let rule (cfg : config) (inst : Instance.t) =
         incr scanned
       done;
       let horizon = Stdlib.min n (c + cfg.lookahead) in
-      match Driver.next_missing d with
-      | None -> ()
-      | Some j when j >= horizon -> ()
-      | Some j ->
+      let j = Driver.next_missing d in
+      if j >= 0 && j < horizon then begin
         let i = c in
         let d' = Stdlib.min cfg.delay (j - i) in
         if not (Driver.cache_full d) then
           Driver.start_fetch d ~block:seq.(j) ~evict:None
         else begin
-          let rec top_a () =
-            match Evict_heap.peek heap with
-            | None -> None
-            | Some (m, key) ->
-              let b = mirror m in
-              if (not (Driver.in_cache d b))
-                 || Driver.next_ref d ~block:b ~from:c < horizon
-              then begin
-                Evict_heap.remove heap ~block:m;
-                top_a ()
-              end
-              else Some (b, n - key)  (* (block, last use) *)
-          in
-          let best = ref (top_a ()) in
+          (* The best victim so far, or -1, with its last use. *)
+          let best = ref (-1) and best_lu = ref 0 in
+          let m = top_a heap ~num_blocks d ~cursor:c ~horizon in
+          if m >= 0 then begin
+            best := mirror m;
+            best_lu := n - Evict_heap.key_of heap m
+          end;
           for p = i to i + d' - 1 do
             let b = seq.(p) in
             if Driver.in_cache d b
                && Driver.next_ref d ~block:b ~from:(i + d') >= horizon
             then begin
               let lu = Driver.prev_ref d ~block:b ~before:c in
-              let better =
-                match !best with
-                | None -> true
-                | Some (b0, lu0) -> lu < lu0 || (lu = lu0 && b > b0)
-              in
-              if better then best := Some (b, lu)
+              if !best < 0 || lu < !best_lu || (lu = !best_lu && b > !best) then begin
+                best := b;
+                best_lu := lu
+              end
             end
           done;
-          match !best with
-          | Some (v, _) ->
+          if !best >= 0 then begin
             (* Class A passes the consistency gate by construction
                (nx >= horizon > j); a class-B best is still requested
                inside the delay window, so hold the fetch until those
                requests are served - the seed fold applies the same
                nx-from-cursor test. *)
-            if Driver.next_ref d ~block:v ~from:c > j then
-              Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
-          | None ->
-            (match Driver.furthest_cached d ~from:(i + d') with
-             | Some (v, vnx)
-               when vnx > j && Driver.next_ref d ~block:v ~from:c > j ->
-               Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
-             | _ -> ())
+            if Driver.next_ref d ~block:!best ~from:c > j then
+              Driver.start_fetch d ~block:seq.(j) ~evict:(Some !best)
+          end
+          else begin
+            let v = Driver.furthest_cached d ~from:(i + d') in
+            if v >= 0
+               && Driver.next_ref d ~block:v ~from:(i + d') > j
+               && Driver.next_ref d ~block:v ~from:c > j
+            then Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
+          end
         end
+      end
     end
 
 let schedule (cfg : config) (inst : Instance.t) : Fetch_op.schedule =

@@ -51,11 +51,12 @@ let try_speculative d ~want =
   then begin
     if Driver.has_free_slot d then Driver.start_fetch d ~block:want ~evict:None
     else
-      match Driver.furthest_cached d ~from:(Driver.cursor d) with
-      | Some (e, next) when next >= Driver.lookahead_end d ->
-        (* no reference left in the window *)
+      let c = Driver.cursor d in
+      let e = Driver.furthest_cached d ~from:c in
+      (* Evict only a block with no reference left in the window;
+         otherwise everything cached is still wanted: don't pollute. *)
+      if e >= 0 && Driver.next_ref d ~block:e ~from:c >= Driver.lookahead_end d then
         Driver.start_fetch d ~block:want ~evict:(Some e)
-      | Some _ | None -> ()  (* everything cached is still wanted; don't pollute *)
   end
 
 (* One-block lookahead: every reference to b predicts b+1 (the classic

@@ -25,56 +25,49 @@ let reverse_instance (inst : Instance.t) : Instance.t =
     Instance.seq = seq_r;
     initial_cache = Instance.warm_initial_cache ~k:inst.Instance.cache_size seq_r }
 
-(* Mirrored eviction hints: block -> preferred eviction victim, harvested
-   from the reverse run's fetches in reverse order. *)
-let eviction_hints (inst : Instance.t) : (int, int) Hashtbl.t =
+(* Mirrored eviction hints: block -> preferred eviction victim, or -1,
+   harvested from the reverse run's fetches. *)
+let eviction_hints (inst : Instance.t) : int array =
   let rinst = reverse_instance inst in
   let rops =
     if inst.Instance.num_disks = 1 then Aggressive.schedule rinst
     else Parallel_greedy.aggressive_schedule rinst
   in
-  let hints = Hashtbl.create 16 in
+  let hints = Array.make (Instance.num_blocks inst) (-1) in
   (* A reverse fetch of b evicting e says: forward, when fetching e, prefer
-     evicting b.  Later (reverse-order) fetches correspond to earlier
-     forward times, so iterate the reverse ops backwards and keep the first
-     hint for each block. *)
+     evicting b.  Each block keeps the hint of the first such reverse
+     fetch in schedule order. *)
   List.iter
     (fun (op : Fetch_op.t) ->
        match op.Fetch_op.evict with
-       | Some e -> Hashtbl.replace hints e op.Fetch_op.block
-       | None -> ())
-    (List.rev rops);
+       | Some e when hints.(e) < 0 -> hints.(e) <- op.Fetch_op.block
+       | Some _ | None -> ())
+    rops;
   hints
 
 let decide hints d =
   let inst = Driver.instance d in
   for disk = 0 to inst.Instance.num_disks - 1 do
     if not (Driver.disk_busy d disk) then begin
-      let missing =
+      let c = Driver.cursor d in
+      let p =
         if inst.Instance.num_disks = 1 then Driver.next_missing d
-        else Driver.next_missing_on_disk d ~disk ~from:(Driver.cursor d)
+        else Driver.next_missing_on_disk d ~disk ~from:c
       in
-      match missing with
-      | None -> ()
-      | Some p ->
+      if p >= 0 then begin
         let block = inst.Instance.seq.(p) in
         if not (Driver.cache_full d) then Driver.start_fetch d ~disk ~block ~evict:None
         else begin
-          let hinted =
-            match Hashtbl.find_opt hints block with
-            | Some e
-              when Driver.in_cache d e
-                   && Driver.next_ref d ~block:e ~from:(Driver.cursor d) > p ->
-              Some e
-            | _ -> None
-          in
-          match hinted with
-          | Some e -> Driver.start_fetch d ~disk ~block ~evict:(Some e)
-          | None ->
-            (match Driver.furthest_cached d ~from:(Driver.cursor d) with
-             | Some (e, next) when next > p -> Driver.start_fetch d ~disk ~block ~evict:(Some e)
-             | Some _ | None -> ())
+          let h = hints.(block) in
+          if h >= 0 && Driver.in_cache d h && Driver.next_ref d ~block:h ~from:c > p then
+            Driver.start_fetch d ~disk ~block ~evict:(Some h)
+          else begin
+            let e = Driver.furthest_cached d ~from:c in
+            if e >= 0 && Driver.next_ref d ~block:e ~from:c > p then
+              Driver.start_fetch d ~disk ~block ~evict:(Some e)
+          end
         end
+      end
     end
   done
 

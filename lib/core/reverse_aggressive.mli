@@ -14,9 +14,9 @@ val reverse_instance : Instance.t -> Instance.t
 (** The reversed instance used for the guidance run (warm initial cache of
     the reversed sequence). *)
 
-val eviction_hints : Instance.t -> (int, int) Hashtbl.t
-(** block [b] -> preferred victim when fetching [b], harvested from the
-    reverse run. *)
+val eviction_hints : Instance.t -> int array
+(** Indexed by block [b]: the preferred victim when fetching [b], or [-1]
+    for no hint, harvested from the reverse run. *)
 
 val rule : Instance.t -> Driver.t -> unit
 (** The decide callback {!schedule} runs on [inst]: furthest-reference

@@ -8,10 +8,10 @@
 
    Invalidation is lazy: [remove] and re-keying [add]s only bump the
    block's stamp; superseded entries stay in the heap and are discarded
-   when they surface during [peek].  Every push therefore pays for at
+   when they surface during [top].  Every push therefore pays for at
    most one future stale pop, so m operations cost O(m log m) total.  A
    background compaction bounds the heap at O(live) entries even for
-   callers that push (serve re-keys) much more often than they peek. *)
+   callers that push (serve re-keys) much more often than they query. *)
 
 type t = {
   mutable key : int array;   (* heap slot -> key *)
@@ -99,7 +99,7 @@ let push t ~key ~block ~stamp =
 let is_stale t i = t.stamp.(t.blk.(i)) <> t.stp.(i)
 
 (* Drop superseded entries in place and re-heapify; keeps the heap at
-   O(live) entries when pushes (per-serve re-keys) outnumber peeks. *)
+   O(live) entries when pushes (per-serve re-keys) outnumber queries. *)
 let compact t =
   t.compactions <- t.compactions + 1;
   let w = ref 0 in
@@ -118,9 +118,10 @@ let maybe_compact t = if t.len > 64 && t.len > 2 * t.live then compact t
 
 let add t ~block ~key =
   (* key_of uses -1 as its "no live entry" sentinel, so a negative key
-     would make the entry unremovable (and double-count [live]); reject
-     it loudly rather than corrupt the heap. *)
-  if key < 0 then invalid_arg "Evict_heap.add: key must be >= 0";
+     would make the entry unremovable (and double-count [live]); every
+     caller keys by a position or a biased score, so one is a bug. *)
+  if key < 0 then
+    Simulate.internal_error ~component:"evict_heap" "add of b%d with negative key %d" block key;
   if t.key_of.(block) < 0 then t.live <- t.live + 1;
   t.stamp.(block) <- t.stamp.(block) + 1;
   t.key_of.(block) <- key;
@@ -143,14 +144,14 @@ let pop_top t =
     sift_down t 0
   end
 
-let rec peek t =
-  if t.len = 0 then None
+let rec top t =
+  if t.len = 0 then -1
   else if is_stale t 0 then begin
     t.stale_pops <- t.stale_pops + 1;
     pop_top t;
-    peek t
+    top t
   end
-  else Some (t.blk.(0), t.key.(0))
+  else t.blk.(0)
 
 let pushes t = t.pushes
 let stale_pops t = t.stale_pops

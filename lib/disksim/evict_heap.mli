@@ -1,13 +1,13 @@
 (** Lazy-invalidation max-heap of eviction candidates.
 
     One live entry per block, keyed by the position of the block's next
-    reference; [peek] returns the entry with the largest key, ties broken
+    reference; [top] returns the entry with the largest key, ties broken
     towards the smallest block id - exactly the winner of the seed
     driver's ascending-id strict-[>] scan in [furthest_cached].
 
     [remove] and re-keying [add]s invalidate lazily (a per-block stamp
     bump); superseded entries are discarded when they surface at the top
-    during [peek], and an internal compaction keeps the heap at O(live)
+    during [top], and an internal compaction keeps the heap at O(live)
     entries under re-key-heavy workloads.  All operations are O(log live)
     amortized. *)
 
@@ -22,17 +22,17 @@ val widen : t -> num_blocks:int -> unit
 val add : t -> block:int -> key:int -> unit
 (** Insert [block] with [key], superseding any previous entry for
     [block] (re-keying is just another [add]).
-    @raise Invalid_argument if [key < 0]: [-1] is the internal "no live
-    entry" sentinel, so negative keys would corrupt the liveness
-    accounting (callers with signed scores must bias them, as Online's
-    recency keys do). *)
+    @raise Simulate.Internal_error (component ["evict_heap"]) if
+    [key < 0]: [-1] is the internal "no live entry" sentinel, so negative
+    keys would corrupt the liveness accounting (callers with signed
+    scores must bias them, as Online's recency keys do). *)
 
 val remove : t -> block:int -> unit
 (** Drop [block]'s live entry, if any (lazy: the heap node dies later). *)
 
-val peek : t -> (int * int) option
-(** [(block, key)] with the maximum key (ties: smallest block), or
-    [None] if no live entries remain. *)
+val top : t -> int
+(** The block with the maximum key (ties: smallest block), or [-1] if no
+    live entries remain; {!key_of} reads its key.  Allocates nothing. *)
 
 val mem : t -> int -> bool
 val key_of : t -> int -> int
@@ -54,7 +54,7 @@ val pushes : t -> int
 (** Heap pushes, counting both fresh inserts and re-keying [add]s. *)
 
 val stale_pops : t -> int
-(** Superseded entries discarded when they surfaced during [peek]. *)
+(** Superseded entries discarded when they surfaced during [top]. *)
 
 val compactions : t -> int
 (** In-place compactions triggered by the stale-entry bound. *)

@@ -236,8 +236,16 @@ let mean_latency t ~fetch_time =
       *. (alpha /. (alpha -. 1.0))
       *. ((1.0 /. (l ** (alpha -. 1.0))) -. (1.0 /. (h ** (alpha -. 1.0))))
 
-let disk_down t ~disk ~time =
-  List.exists (fun o -> o.disk = disk && o.from_time <= time && time < o.until_time) t.outages
+(* A plain recursion rather than [List.exists]: the executor asks once
+   per disk per instant, and a closure over [disk] and [time] would be
+   allocated at every call. *)
+let rec down_in outages ~disk ~time =
+  match outages with
+  | [] -> false
+  | o :: rest ->
+    (o.disk = disk && o.from_time <= time && time < o.until_time) || down_in rest ~disk ~time
+
+let disk_down t ~disk ~time = down_in t.outages ~disk ~time
 
 let next_up t ~disk ~time =
   (* Windows per disk are sorted and disjoint: chase the time forward. *)

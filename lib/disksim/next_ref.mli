@@ -11,9 +11,6 @@ type t
 val build : int array -> num_blocks:int -> t
 val of_instance : Instance.t -> t
 
-val infinity_pos : t -> int
-(** The "never again" sentinel, i.e. the sequence length. *)
-
 val next_after_same : t -> int -> int
 (** [next_after_same t i]: next occurrence of the block at position [i],
     strictly after [i]. *)
@@ -21,16 +18,8 @@ val next_after_same : t -> int -> int
 val next_at_or_after : t -> int -> int -> int
 (** [next_at_or_after t b pos]: smallest position [>= pos] requesting [b]. *)
 
-val next_strictly_after : t -> int -> int -> int
-
 val prev_before : t -> int -> int -> int
 (** [prev_before t b pos]: largest position [< pos] requesting [b], or
     [-1] if there is none.  Replaces the O(n) last-occurrence scans in
     Conservative/Delay eligible-cursor computation and Online's LRU
     recency with an O(log n) query. *)
-
-val is_requested_at_or_after : t -> int -> int -> bool
-val count : t -> int -> int
-val first_request : t -> int -> int
-val last_request : t -> int -> int
-(** [-1] if the block is never requested. *)

@@ -31,6 +31,23 @@
    stall-time attribution and it is the lens the ROADMAP's latency work
    needs.
 
+   Arming.  Pending fetches are walked in start order
+   ([Fetch_op.compare_start], ties by schedule index) with one pointer:
+   a schedule already in that order, as almost every [Driver] log is,
+   is used as it is, and only an out-of-order one gets a sorted index
+   copy.  Reaching a cursor arms the fetches anchored there into a small
+   int heap keyed by (start time, start order).  Nothing here is sized by
+   the trace, and arming and starting allocate nothing.
+
+   Stall runs.  In strict mode (no fault plan, no parking) the instants
+   after a stall unit repeat it exactly until the next completion or
+   armed start, so the whole run is taken at once: added to the stall,
+   charged to the fetch its first unit was charged to, and recorded as
+   one [Stall] event per unit when events are kept.  The jump is capped
+   at horizon + 1, so the deadlock rejection fires at the same instant.
+   Degraded mode steps one unit at a time, because a jittered attempt's
+   fault-stall charge changes partway through a run.
+
    One loop, three entry points.  [exec] is the only timeline loop;
    [run], [run_faulty] and {!Delayed.run} differ only in what they hand
    it.  [run_faulty] adds a {!Faults} plan: fetch attempts may be slowed
@@ -203,6 +220,70 @@ let record_run_telemetry = function
     end
   | Error _ -> if Telemetry.enabled () then Telemetry.incr m_rejected
 
+(* Armed fetches: a binary min-heap of (start time, start rank) pairs in
+   two growable int arrays.  The rank is an op's position in start order,
+   so the heap pops in exactly the order a sorted (start time, op) list
+   would, and arming or starting allocates nothing once the heap has
+   grown to the largest armed set (a handful of ops, not the schedule). *)
+module Armed = struct
+  type t = { mutable time : int array; mutable rank : int array; mutable len : int }
+
+  let create () = { time = Array.make 16 0; rank = Array.make 16 0; len = 0 }
+  let is_empty h = h.len = 0
+
+  let before h i j =
+    h.time.(i) < h.time.(j) || (h.time.(i) = h.time.(j) && h.rank.(i) < h.rank.(j))
+
+  let swap h i j =
+    let tm = h.time.(i) and rk = h.rank.(i) in
+    h.time.(i) <- h.time.(j);
+    h.rank.(i) <- h.rank.(j);
+    h.time.(j) <- tm;
+    h.rank.(j) <- rk
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if before h i parent then begin
+        swap h i parent;
+        sift_up h parent
+      end
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 in
+    if l < h.len then begin
+      let best = if l + 1 < h.len && before h (l + 1) l then l + 1 else l in
+      if before h best i then begin
+        swap h i best;
+        sift_down h best
+      end
+    end
+
+  let push h ~time ~rank =
+    if h.len = Array.length h.time then begin
+      let grow a = Array.append a (Array.make (Array.length a) 0) in
+      h.time <- grow h.time;
+      h.rank <- grow h.rank
+    end;
+    h.time.(h.len) <- time;
+    h.rank.(h.len) <- rank;
+    h.len <- h.len + 1;
+    sift_up h (h.len - 1)
+
+  (* The top entry; the heap must be non-empty. *)
+  let top_time h = h.time.(0)
+  let top_rank h = h.rank.(0)
+
+  let pop h =
+    h.len <- h.len - 1;
+    if h.len > 0 then begin
+      h.time.(0) <- h.time.(h.len);
+      h.rank.(0) <- h.rank.(h.len);
+      sift_down h 0
+    end
+end
+
 (* [extra_slots] extends capacity beyond k (the paper's parallel algorithm
    is allowed 2(D-1) extra locations).  [record_events] controls whether the
    full event trace is accumulated (examples want it; sweeps do not).
@@ -289,41 +370,31 @@ let exec ?window ~extra_slots ~record_events ~attribution ~(faults : Faults.t)
     let f_dropped = ref 0 and f_skipped_evict = ref 0 and f_stall = ref 0 in
     let fevents = ref [] in
     let fevent e = fevents := e :: !fevents in
-    (* Pending fetches grouped by anchor cursor, held as bare op indexes
-       (immediate ints) so the bookkeeping allocates exactly what the
-       un-instrumented executor did; [ops.(i)] recovers the fetch. *)
-    let by_cursor = Array.make (n + 1) [] in
-    Array.iteri
-      (fun i f -> by_cursor.(f.Fetch_op.at_cursor) <- i :: by_cursor.(f.Fetch_op.at_cursor))
-      ops;
-    let compare_pending i1 i2 =
-      match Fetch_op.compare_start ops.(i1) ops.(i2) with 0 -> Int.compare i1 i2 | c -> c
+    (* Start order (see "Arming" above); [op_at k] is the op of rank k. *)
+    let rec sorted_from i =
+      i >= nops - 1 || (Fetch_op.compare_start ops.(i) ops.(i + 1) <= 0 && sorted_from (i + 1))
     in
-    for c = 0 to n do
-      by_cursor.(c) <- List.sort compare_pending by_cursor.(c)
-    done;
-    (* Fetches whose absolute start time is known (anchor reached):
-       (start_time, op_index), kept sorted by start time.  The merge and
-       the start-time listing are named functions so [arm] - called once
-       per serve - allocates no fresh closures. *)
-    let armed = ref [] in
-    let rec merge_armed l1 l2 =
-      match (l1, l2) with
-      | [], l | l, [] -> l
-      | (((t1, i1) as h1) :: r1), (((t2, i2) as h2) :: r2) ->
-        let c = match Int.compare t1 t2 with 0 -> compare_pending i1 i2 | x -> x in
-        if c <= 0 then h1 :: merge_armed r1 l2 else h2 :: merge_armed l1 r2
+    let in_order = sorted_from 0 in
+    let order =
+      if in_order then [||]
+      else begin
+        let order = Array.init nops Fun.id in
+        Array.stable_sort (fun i1 i2 -> Fetch_op.compare_start ops.(i1) ops.(i2)) order;
+        order
+      end
     in
-    let rec start_times time = function
-      | [] -> []
-      | i :: tl -> (time + ops.(i).Fetch_op.delay, i) :: start_times time tl
-    in
+    let op_at k = if in_order then k else order.(k) in
+    (* Pending fetches are the ranks from [next_pending] on.  Every cursor
+       is armed once, in increasing order, which moves the ops anchored
+       there into the heap with their absolute start times. *)
+    let next_pending = ref 0 in
+    let armed = Armed.create () in
     let arm time c =
-      match by_cursor.(c) with
-      | [] -> ()
-      | pending ->
-        armed := merge_armed !armed (start_times time pending);
-        by_cursor.(c) <- []
+      while !next_pending < nops && ops.(op_at !next_pending).Fetch_op.at_cursor = c do
+        let k = !next_pending in
+        Armed.push armed ~time:(time + ops.(op_at k).Fetch_op.delay) ~rank:k;
+        incr next_pending
+      done
     in
     let events = ref [] in
     let record e = events := e :: !events in
@@ -545,28 +616,40 @@ let exec ?window ~extra_slots ~record_events ~attribution ~(faults : Faults.t)
       incr waiting_count
     in
     let rec start_due () =
-      match !armed with
-      | (start_time, i) :: rest when start_time = !t ->
-        armed := rest;
-        strict_start i;
-        start_due ()
-      | (start_time, i) :: _ when start_time < !t ->
-        (* The armed list is sorted by start time and drained at every
-           instant, so finding an overdue entry means the clock jumped
-           past a scheduled start - an executor bug, not a bad plan. *)
-        let f = ops.(i) in
-        internal_error ~component:"simulate"
-          "armed fetch of b%d on disk %d overdue: start time %d < clock %d" f.Fetch_op.block
-          f.Fetch_op.disk start_time !t
-      | _ -> ()
+      if not (Armed.is_empty armed) then begin
+        let start_time = Armed.top_time armed in
+        let i = op_at (Armed.top_rank armed) in
+        if start_time = !t then begin
+          Armed.pop armed;
+          strict_start i;
+          start_due ()
+        end
+        else if start_time < !t then begin
+          (* The heap is drained at every instant the clock stops at, so
+             an overdue entry means the clock jumped past a scheduled
+             start - an executor bug, not a bad plan. *)
+          let f = ops.(i) in
+          internal_error ~component:"simulate"
+            "armed fetch of b%d on disk %d overdue: start time %d < clock %d" f.Fetch_op.block
+            f.Fetch_op.disk start_time !t
+        end
+      end
     in
-    (* Queue the due head of a time-sorted (time, op) list. *)
-    let rec move_due l =
-      match !l with
+    (* Queue the due armed ops, in start order. *)
+    let rec move_due_armed () =
+      if (not (Armed.is_empty armed)) && Armed.top_time armed <= !t then begin
+        enqueue (op_at (Armed.top_rank armed));
+        Armed.pop armed;
+        move_due_armed ()
+      end
+    in
+    (* Queue the due head of the time-sorted retry list. *)
+    let rec move_due_retries () =
+      match !retryq with
       | (time, i) :: rest when time <= !t ->
-        l := rest;
+        retryq := rest;
         enqueue i;
-        move_due l
+        move_due_retries ()
       | _ -> ()
     in
     (* Starts at the current instant.  Callable again within the instant:
@@ -574,8 +657,8 @@ let exec ?window ~extra_slots ~record_events ~attribution ~(faults : Faults.t)
     let start_phase () =
       if strict then start_due ()
       else begin
-        move_due retryq;
-        move_due armed;
+        move_due_retries ();
+        move_due_armed ();
         if defer then begin
           (* One pass over the global FIFO: start what applies, keep the
              rest in order. *)
@@ -689,7 +772,7 @@ let exec ?window ~extra_slots ~record_events ~attribution ~(faults : Faults.t)
        queued op was found inapplicable in the state that persists - and
        with nothing in flight or armed, nothing will change it. *)
     let check_progress b =
-      if !in_flight_count = 0 && !armed = [] && !retryq = [] && (defer || !waiting_count = 0)
+      if !in_flight_count = 0 && Armed.is_empty armed && !retryq = [] && (defer || !waiting_count = 0)
       then
         if retrying then
           rejectf !t "request r%d (b%d) missing and unrecoverable under faults" (!cursor + 1) b
@@ -720,14 +803,28 @@ let exec ?window ~extra_slots ~record_events ~attribution ~(faults : Faults.t)
       | [] -> -1
       | (_, i) :: rest -> if supplies b i then i else first_of b rest
     in
+    (* The first armed op in start order supplying [b], or -1: the least
+       (start time, rank) among the heap's few entries. *)
+    let first_armed b =
+      let best = ref (-1) in
+      for e = 0 to armed.Armed.len - 1 do
+        if supplies b (op_at armed.Armed.rank.(e)) && (!best < 0 || Armed.before armed e !best)
+        then best := e
+      done;
+      if !best < 0 then -1 else op_at armed.Armed.rank.(!best)
+    in
+    (* The first queued op supplying [b] (disk order, then queue order),
+       else the first in backoff.  [visit] is built once per run, so the
+       per-unit scan allocates nothing. *)
+    let want = ref (-1) and found = ref (-1) in
+    let visit i = if !found < 0 && supplies !want i then found := i in
     let first_queued b =
-      let i =
-        Array.fold_left
-          (fun found q ->
-             Queue.fold (fun found i -> if found < 0 && supplies b i then i else found) found q)
-          (-1) waiting
-      in
-      if i >= 0 then i else first_of b !retryq
+      want := b;
+      found := -1;
+      for q = 0 to Array.length waiting - 1 do
+        Queue.iter visit waiting.(q)
+      done;
+      if !found >= 0 then !found else first_of b !retryq
     in
     let earliest_in_flight () =
       let best = ref (-1) in
@@ -736,39 +833,61 @@ let exec ?window ~extra_slots ~record_events ~attribution ~(faults : Faults.t)
       done;
       if !best < 0 then -1 else flight_op.(!best)
     in
-    let charge b =
+    let charge b units =
       let i = if b >= 0 then block_in_flight.(b) else earliest_in_flight () in
       if i >= 0 then begin
-        involuntary.(i) <- involuntary.(i) + 1;
-        if fault_delayed i then incr f_stall;
+        involuntary.(i) <- involuntary.(i) + units;
+        if fault_delayed i then f_stall := !f_stall + units;
         true
       end
       else
-        let i = first_of b !armed in
+        let i = first_armed b in
         if i >= 0 then begin
-          voluntary.(i) <- voluntary.(i) + 1;
+          voluntary.(i) <- voluntary.(i) + units;
           true
         end
         else
           let i = first_queued b in
           if i >= 0 then begin
-            voluntary.(i) <- voluntary.(i) + 1;
-            incr f_stall
+            voluntary.(i) <- voluntary.(i) + units;
+            f_stall := !f_stall + units
           end;
           i >= 0
     in
-    let charge_stall b =
-      if not ((b >= 0 && charge b) || charge (-1)) then
+    let charge_stall b units =
+      if not ((b >= 0 && charge b units) || charge (-1) units) then
         internal_error ~component:"simulate"
           "t=%d cursor %d: stall awaiting b%d with no fetch in flight, armed, queued or retrying" !t
           !cursor b
     in
-    let stall_unit b =
-      if attribution then charge_stall b;
+    (* Where a stall run that begins now ends (see "Stall runs" above):
+       in strict mode at the next completion or armed start, capped at
+       horizon + 1 where the deadlock guard fires; one unit on in
+       degraded mode.  No completion, start or serve happens before that
+       instant, so neither the fetch the first unit is charged to nor the
+       kind of charge can change. *)
+    let stall_run_end () =
+      if not strict then !t + 1
+      else begin
+        let e = ref (horizon + 1) in
+        if (not (Armed.is_empty armed)) && Armed.top_time armed < !e then e := Armed.top_time armed;
+        for d = 0 to num_disks - 1 do
+          if flight_op.(d) >= 0 && flight_end.(d) < !e then e := flight_end.(d)
+        done;
+        !e
+      end
+    in
+    let stall_run b =
+      let until = stall_run_end () in
+      let units = until - !t in
+      if attribution then charge_stall b units;
       prov_stall ();
-      if record_events then record (Stall { time = !t });
-      incr stall;
-      incr t
+      if record_events then
+        for time = !t to until - 1 do
+          record (Stall { time })
+        done;
+      stall := !stall + units;
+      t := until
     in
     (* Delayed hit: park the cursor request on the in-flight fetch of its
        block and move on within the same instant. *)
@@ -807,7 +926,7 @@ let exec ?window ~extra_slots ~record_events ~attribution ~(faults : Faults.t)
        may enable further starts and serves within the instant; each
        round advances the cursor, so the recursion terminates. *)
     let rec serve_phase () =
-      if !cursor >= n then stall_unit (-1) (* tail drain: only parked requests remain *)
+      if !cursor >= n then stall_run (-1) (* tail drain: only parked requests remain *)
       else begin
         let b = seq.(!cursor) in
         if in_cache.(b) then begin
@@ -825,7 +944,7 @@ let exec ?window ~extra_slots ~record_events ~attribution ~(faults : Faults.t)
         end
         else begin
           check_progress b;
-          stall_unit b
+          stall_run b
         end
       end
     in

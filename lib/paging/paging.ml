@@ -129,12 +129,13 @@ let min_offline_fast (inst : Instance.t) : result =
           None
         end
         else begin
-          match Evict_heap.peek heap with
-          | None -> None  (* k = 0 never happens: Instance validates k >= 1 *)
-          | Some (v, _) ->
+          let v = Evict_heap.top heap in
+          if v < 0 then None  (* k = 0 never happens: Instance validates k >= 1 *)
+          else begin
             in_cache.(v) <- false;
             Evict_heap.remove heap ~block:v;
             Some v
+          end
         end
       in
       in_cache.(b) <- true;

@@ -21,7 +21,12 @@
      Zipf(0.9) trace over 1,562 blocks, k = 64, F = 8 (the two D-disk
      greedy schedulers on the same trace striped over four disks).
    - Stream: every registered streaming policy at window 64 over
-     [Stream.of_array] of the same trace. *)
+     [Stream.of_array] of the same trace.
+   - Executor: the three entry points replaying Aggressive's schedule
+     of the single-disk trace: [Simulate.run], [run_faulty] under 10%
+     jitter of up to 4 units, and [Delayed.run] at window 8 under
+     Uniform 2-8 latency.
+   - Index: [Next_ref.of_instance] of the single-disk trace. *)
 
 let settled_words f =
   Gc.minor ();
@@ -68,24 +73,45 @@ let stream_rows () =
            Stream.run ~k ~fetch_time ~window:64 (Stream.of_array seq) (build ~fetch_time) ))
     [ "aggressive"; "delay"; "markov"; "obl"; "demand" ]
 
+let executor_rows () =
+  let single = Lazy.force single in
+  let sched = Aggressive.schedule single in
+  let jitter = Faults.make ~seed:1 ~jitter_prob:0.1 ~max_jitter:4 () in
+  let latency = Faults.make ~seed:1 ~latency:(Faults.Uniform { lo = 2; hi = 8 }) () in
+  [ ("Simulate.run", fun () -> Simulate.run single sched);
+    ("run_faulty (jitter)", fun () -> Result.map fst (Simulate.run_faulty ~faults:jitter single sched));
+    ("Delayed.run (window 8, uniform 2-8)",
+     fun () -> Result.map (fun o -> o.Delayed.base) (Delayed.run ~window:8 ~faults:latency single sched)) ]
+
+let index_rows () =
+  let single = Lazy.force single in
+  [ ("Next_ref.of_instance", fun () -> Next_ref.of_instance single) ]
+
 (* Settled words per row. *)
 let pinned_batch =
-  [ ("aggressive", 2_195_039);
-    ("conservative", 3_265_272);
-    ("delay(d0)", 3_286_502);
-    ("combination", 2_195_083);
-    ("fixed_horizon", 2_283_502);
-    ("online(32)", 3_146_778);
-    ("reverse_aggressive", 4_808_956);
-    ("aggressive-D4", 2_886_380);
-    ("conservative-D4", 3_940_441) ]
+  [ ("aggressive", 780_545);
+    ("conservative", 1_952_532);
+    ("delay(d0)", 779_406);
+    ("combination", 780_589);
+    ("fixed_horizon", 866_494);
+    ("online(32)", 987_669);
+    ("reverse_aggressive", 1_777_433);
+    ("aggressive-D4", 1_052_614);
+    ("conservative-D4", 2_036_973) ]
 
 let pinned_stream =
-  [ ("aggressive", 1_843_491);
-    ("delay", 3_614_524);
-    ("markov", 2_367_359);
-    ("obl", 2_920_174);
-    ("demand", 1_709_365) ]
+  [ ("aggressive", 360_783);
+    ("delay", 362_728);
+    ("markov", 888_519);
+    ("obl", 471_994);
+    ("demand", 361_905) ]
+
+let pinned_executor =
+  [ ("Simulate.run", 46_089);
+    ("run_faulty (jitter)", 3_180_275);
+    ("Delayed.run (window 8, uniform 2-8)", 3_922_782) ]
+
+let pinned_index = [ ("Next_ref.of_instance", 203_144) ]
 
 (* Measure every row, then report every mismatch at once, so a
    deliberate change can re-record the whole table from one failure. *)
@@ -106,4 +132,6 @@ let () =
   Alcotest.run "alloc"
     [ ("settled words",
        [ Alcotest.test_case "batch schedulers" `Quick (check_table pinned_batch batch_rows);
-         Alcotest.test_case "stream policies" `Quick (check_table pinned_stream stream_rows) ]) ]
+         Alcotest.test_case "stream policies" `Quick (check_table pinned_stream stream_rows);
+         Alcotest.test_case "executor replays" `Quick (check_table pinned_executor executor_rows);
+         Alcotest.test_case "next-ref index" `Quick (check_table pinned_index index_rows) ]) ]

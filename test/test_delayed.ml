@@ -572,44 +572,78 @@ let test_pinned_digests () =
     pinned rows
 
 (* ------------------------------------------------------------------ *)
-(* Allocation ceilings for the three entry points on a 10^5-request
-   Zipf(0.9) replay of Aggressive's schedule (1,562 blocks, k = 64,
-   F = 8).  Words per request (minor + major - promoted) are a
-   deterministic function of the code (up to about one word/request of
-   promotion accounting), so each cap is a fixed figure: the measured
-   26.1, 73.5 and 78.6 words/request plus 10%.  A per-instant closure or
-   an eagerly built event in the loop shows up here long before it shows
-   up in a wall-clock benchmark. *)
+(* The strict executor's paths, over the pin corpus.  A stall run is
+   taken whole whatever the flags, so turning events and attribution off
+   must change nothing the stats keep without them.  And pending ops are
+   walked in start order, sorted only when the schedule is not already
+   in that order (most Driver logs are): a shuffled copy of a valid
+   schedule takes the sort path and must replay identically, each
+   fetch's stall charge following it to its new index. *)
 
-let alloc_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+let same_untracked label (on : Simulate.stats) (off : Simulate.stats) =
+  let check what a b = Alcotest.(check int) (Printf.sprintf "%s: %s" label what) a b in
+  check "stall" on.Simulate.stall_time off.Simulate.stall_time;
+  check "elapsed" on.Simulate.elapsed_time off.Simulate.elapsed_time;
+  check "started" on.Simulate.fetches_started off.Simulate.fetches_started;
+  check "completed" on.Simulate.fetches_completed off.Simulate.fetches_completed;
+  check "peak occupancy" on.Simulate.peak_occupancy off.Simulate.peak_occupancy;
+  Alcotest.(check (array int)) (label ^ ": disk busy") on.Simulate.disk_busy off.Simulate.disk_busy
 
-(* Emptying the minor heap first keeps objects allocated before the call
-   from being promoted (and so subtracted) during it. *)
-let words_per_request n f =
-  Gc.minor ();
-  let w0 = alloc_words () in
-  let r = f () in
-  let w1 = alloc_words () in
-  ignore (Sys.opaque_identity r);
-  (w1 -. w0) /. float_of_int n
-
-let test_allocation_ceilings () =
-  let n = 100_000 in
-  let seq = Workload.zipf ~seed:1 ~alpha:0.9 ~n ~num_blocks:1_562 in
-  let inst = Workload.single_instance ~k:64 ~fetch_time:8 seq in
-  let sched = Aggressive.schedule inst in
-  let jitter = Faults.make ~seed:1 ~jitter_prob:0.1 ~max_jitter:4 () in
-  let latency = Faults.make ~seed:1 ~latency:(Faults.Uniform { lo = 2; hi = 8 }) () in
+let test_flags_off_agree () =
   List.iter
-    (fun (name, cap, f) ->
-       let w = words_per_request n f in
-       if w > cap then Alcotest.failf "%s allocates %.2f words/request (cap %.1f)" name w cap)
-    [ ("Simulate.run", 28.7, fun () -> ignore (Simulate.run inst sched));
-      ("run_faulty (jitter)", 80.9, fun () -> ignore (Simulate.run_faulty ~faults:jitter inst sched));
-      ("Delayed.run (window 8, uniform 2-8)", 86.4,
-       fun () -> ignore (Delayed.run ~window:8 ~faults:latency inst sched)) ]
+    (fun (label, inst, sched) ->
+       let on = Simulate.run ~record_events:true ~attribution:true inst sched in
+       match (on, Simulate.run inst sched) with
+       | Ok on, Ok off -> same_untracked label on off
+       | Error e, Error e' ->
+         Alcotest.(check string) (label ^ ": reason") e.Simulate.reason e'.Simulate.reason;
+         Alcotest.(check int) (label ^ ": rejected at") e.Simulate.at_time e'.Simulate.at_time
+       | Ok _, Error _ | Error _, Ok _ -> Alcotest.failf "%s: flags change acceptance" label)
+    (pin_corpus ())
+
+(* Fisher-Yates on a fixed seed; perm.(j) is the original index of the
+   op now at j. *)
+let shuffled seed sched =
+  let ops = Array.of_list sched in
+  let perm = Array.init (Array.length ops) Fun.id in
+  let rng = Random.State.make [| seed |] in
+  for j = Array.length perm - 1 downto 1 do
+    let r = Random.State.int rng (j + 1) in
+    let x = perm.(j) in
+    perm.(j) <- perm.(r);
+    perm.(r) <- x
+  done;
+  (perm, Array.to_list (Array.map (fun i -> ops.(i)) perm))
+
+let test_shuffled_schedules () =
+  let replayed = ref 0 in
+  List.iteri
+    (fun seed (label, inst, sched) ->
+       match Simulate.run ~record_events:true ~attribution:true inst sched with
+       | Error _ -> ()
+       | Ok s ->
+         let perm, sched' = shuffled seed sched in
+         if sched' <> sched then incr replayed;
+         (match Simulate.run ~record_events:true ~attribution:true inst sched' with
+          | Error e -> Alcotest.failf "%s: shuffled copy rejected: %s" label e.Simulate.reason
+          | Ok s' ->
+            same_untracked label s s';
+            Alcotest.(check bool) (label ^ ": events") true (s.Simulate.events = s'.Simulate.events);
+            Alcotest.(check bool) (label ^ ": occupancy") true
+              (s.Simulate.occupancy = s'.Simulate.occupancy);
+            let charges = Array.of_list s.Simulate.stall_by_fetch in
+            List.iteri
+              (fun j (a : Simulate.fetch_stall) ->
+                 let orig = charges.(perm.(j)) in
+                 Alcotest.(check int) (label ^ ": fetch_index") j a.Simulate.fetch_index;
+                 Alcotest.(check bool) (label ^ ": fetch") true (a.Simulate.fetch = orig.Simulate.fetch);
+                 Alcotest.(check (pair int int))
+                   (Printf.sprintf "%s: charge of op %d (was %d)" label j perm.(j))
+                   (orig.Simulate.involuntary_stall, orig.Simulate.voluntary_stall)
+                   (a.Simulate.involuntary_stall, a.Simulate.voluntary_stall))
+              s'.Simulate.stall_by_fetch))
+    (pin_corpus ());
+  Alcotest.(check bool) "some schedules were reordered" true (!replayed > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Randomized sweep: queueing invariants under arbitrary latency plans
@@ -688,9 +722,11 @@ let () =
          Alcotest.test_case "degenerate on PR-8 fast-path plans" `Quick
            test_degenerate_on_fast_paths;
          Alcotest.test_case "queueing over corpus" `Slow test_queueing_over_corpus ]);
-      ("byte identity",
-       [ Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
-         Alcotest.test_case "allocation ceilings" `Quick test_allocation_ceilings ]);
+      ("byte identity", [ Alcotest.test_case "pinned digests" `Quick test_pinned_digests ]);
+      ("strict executor",
+       [ Alcotest.test_case "flags off agree with flags on" `Quick test_flags_off_agree;
+         Alcotest.test_case "shuffled schedules replay identically" `Quick
+           test_shuffled_schedules ]);
       ("latency distributions",
        [ Alcotest.test_case "supports" `Quick test_latency_supports;
          Alcotest.test_case "bounds helpers" `Quick test_latency_bounds_helpers;

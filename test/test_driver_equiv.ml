@@ -127,15 +127,20 @@ let test_stall_accounting () =
 (* ------------------------------------------------------------------ *)
 (* Evict_heap unit tests. *)
 
+(* The top entry as (block, key), or None. *)
+let top_pair h =
+  let b = Evict_heap.top h in
+  if b < 0 then None else Some (b, Evict_heap.key_of h b)
+
 let test_heap_basic () =
   let h = Evict_heap.create ~num_blocks:8 in
-  Alcotest.(check (option (pair int int))) "empty" None (Evict_heap.peek h);
+  Alcotest.(check (option (pair int int))) "empty" None (top_pair h);
   Evict_heap.add h ~block:3 ~key:10;
   Evict_heap.add h ~block:1 ~key:25;
   Evict_heap.add h ~block:5 ~key:17;
-  Alcotest.(check (option (pair int int))) "max" (Some (1, 25)) (Evict_heap.peek h);
+  Alcotest.(check (option (pair int int))) "max" (Some (1, 25)) (top_pair h);
   Evict_heap.remove h ~block:1;
-  Alcotest.(check (option (pair int int))) "after remove" (Some (5, 17)) (Evict_heap.peek h);
+  Alcotest.(check (option (pair int int))) "after remove" (Some (5, 17)) (top_pair h);
   Alcotest.(check int) "live" 2 (Evict_heap.size h);
   Alcotest.(check bool) "mem" false (Evict_heap.mem h 1);
   Alcotest.(check int) "key_of" 10 (Evict_heap.key_of h 3)
@@ -147,7 +152,7 @@ let test_heap_tie_break () =
   Evict_heap.add h ~block:6 ~key:9;
   Evict_heap.add h ~block:2 ~key:9;
   Evict_heap.add h ~block:4 ~key:9;
-  Alcotest.(check (option (pair int int))) "smallest id wins" (Some (2, 9)) (Evict_heap.peek h)
+  Alcotest.(check (option (pair int int))) "smallest id wins" (Some (2, 9)) (top_pair h)
 
 let test_heap_lazy_invalidation () =
   let h = Evict_heap.create ~num_blocks:4 in
@@ -158,27 +163,32 @@ let test_heap_lazy_invalidation () =
   Evict_heap.add h ~block:0 ~key:7;
   Alcotest.(check int) "stale entries accumulate" 4 (Evict_heap.heap_load h);
   Alcotest.(check int) "but live count tracks blocks" 2 (Evict_heap.size h);
-  (* ... and peek discards the superseded top (0,5)/(1,9) lazily. *)
-  Alcotest.(check (option (pair int int))) "peek sees only live keys" (Some (0, 7)) (Evict_heap.peek h);
+  (* ... and top discards the superseded top (0,5)/(1,9) lazily. *)
+  Alcotest.(check (option (pair int int))) "top sees only live keys" (Some (0, 7)) (top_pair h);
   Alcotest.(check bool) "stale top collected" true (Evict_heap.heap_load h < 4);
   Evict_heap.remove h ~block:0;
-  Alcotest.(check (option (pair int int))) "removal is lazy too" (Some (1, 2)) (Evict_heap.peek h);
+  Alcotest.(check (option (pair int int))) "removal is lazy too" (Some (1, 2)) (top_pair h);
   Evict_heap.remove h ~block:1;
-  Alcotest.(check (option (pair int int))) "drained" None (Evict_heap.peek h);
+  Alcotest.(check (option (pair int int))) "drained" None (top_pair h);
   Alcotest.(check int) "no live entries" 0 (Evict_heap.size h)
 
 let test_heap_rejects_negative_keys () =
   (* -1 is the internal no-live-entry sentinel; a negative key once made
-     an Online recency entry unremovable (livelocked top_a).  The heap
-     now refuses instead. *)
+     an Online recency entry unremovable (livelocked top_a).  No caller
+     can produce one, so the heap refuses with a typed internal error
+     naming the block and the key, and keeps its state. *)
   let h = Evict_heap.create ~num_blocks:4 in
+  Evict_heap.add h ~block:2 ~key:5;
   Alcotest.check_raises "negative key"
-    (Invalid_argument "Evict_heap.add: key must be >= 0")
-    (fun () -> Evict_heap.add h ~block:1 ~key:(-1))
+    (Simulate.Internal_error { component = "evict_heap"; reason = "add of b1 with negative key -1" })
+    (fun () -> Evict_heap.add h ~block:1 ~key:(-1));
+  Alcotest.(check int) "live unchanged" 1 (Evict_heap.size h);
+  Alcotest.(check bool) "rejected block absent" false (Evict_heap.mem h 1);
+  Alcotest.(check (option (pair int int))) "top unchanged" (Some (2, 5)) (top_pair h)
 
 let test_heap_compaction () =
   (* Serve-style churn: re-key one block thousands of times without
-     peeking.  Compaction must keep the physical heap O(live), not O(m). *)
+     querying the top.  Compaction must keep the physical heap O(live), not O(m). *)
   let h = Evict_heap.create ~num_blocks:4 in
   Evict_heap.add h ~block:2 ~key:1_000_000;
   for i = 0 to 9_999 do
@@ -186,8 +196,8 @@ let test_heap_compaction () =
   done;
   Alcotest.(check bool) "heap stays compact"
     true (Evict_heap.heap_load h <= 64 * 2);
-  Alcotest.(check (option (pair int int))) "peek correct after churn"
-    (Some (2, 1_000_000)) (Evict_heap.peek h)
+  Alcotest.(check (option (pair int int))) "top correct after churn"
+    (Some (2, 1_000_000)) (top_pair h)
 
 let test_heap_widen () =
   (* A stream's block ids outgrow the heap: widening keeps every entry,
@@ -197,9 +207,9 @@ let test_heap_widen () =
   Evict_heap.add h ~block:1 ~key:9;
   Evict_heap.add h ~block:1 ~key:3;
   Evict_heap.widen h ~num_blocks:8;
-  Alcotest.(check (option (pair int int))) "entries kept" (Some (0, 5)) (Evict_heap.peek h);
+  Alcotest.(check (option (pair int int))) "entries kept" (Some (0, 5)) (top_pair h);
   Evict_heap.add h ~block:7 ~key:6;
-  Alcotest.(check (option (pair int int))) "new id admitted" (Some (7, 6)) (Evict_heap.peek h);
+  Alcotest.(check (option (pair int int))) "new id admitted" (Some (7, 6)) (top_pair h);
   Alcotest.(check int) "live" 3 (Evict_heap.size h);
   Alcotest.(check int) "pushes counted across the widen" 4 (Evict_heap.pushes h)
 

@@ -22,10 +22,10 @@ let try_speculative d ~want =
   then begin
     if Driver.has_free_slot d then Driver.start_fetch d ~block:want ~evict:None
     else
-      match Driver.furthest_cached d ~from:(Driver.cursor d) with
-      | Some (e, next) when next >= Driver.lookahead_end d ->
+      let c = Driver.cursor d in
+      let e = Driver.furthest_cached d ~from:c in
+      if e >= 0 && Driver.next_ref d ~block:e ~from:c >= Driver.lookahead_end d then
         Driver.start_fetch d ~block:want ~evict:(Some e)
-      | Some _ | None -> ()
   end
 
 let reference_markov () : S.policy =

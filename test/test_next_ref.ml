@@ -100,13 +100,12 @@ let checked_decide base d =
      with Exit -> ());
     !r
   in
+  let naive = match naive with None -> -1 | Some j -> j in
   if Driver.next_missing d <> naive then
     raise
       (Frontier_diverged
-         (Printf.sprintf "cursor=%d frontier=%s naive=%s"
-            (Driver.cursor d)
-            (match Driver.next_missing d with None -> "-" | Some j -> string_of_int j)
-            (match naive with None -> "-" | Some j -> string_of_int j)));
+         (Printf.sprintf "cursor=%d frontier=%d naive=%d" (Driver.cursor d)
+            (Driver.next_missing d) naive));
   base d
 
 let gen_single_instance =
