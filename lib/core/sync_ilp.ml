@@ -15,10 +15,16 @@ type outcome = {
 
 let solve ?(node_limit = 2000) (inst : Instance.t) : outcome =
   let built = Sync_lp.build inst in
-  (* Pool variables are not 0-1 (their integrality follows from the
-     balance rows), so branch and bound gets the explicit binary list. *)
+  (* Pool variables range over [0, n_sinit], and their integrality follows
+     from the balance rows once the f/e/x variables are integral, so
+     branch and bound gets the explicit 0-1 list: every other variable, in
+     ascending order. *)
+  let binary = ref [] in
+  for v = Array.length built.Sync_lp.kind_of - 1 downto 0 do
+    match built.Sync_lp.kind_of.(v) with Sync_lp.Pool _ -> () | _ -> binary := v :: !binary
+  done;
   let o =
-    try Ilp.solve ~binary:built.Sync_lp.binary ~node_limit built.Sync_lp.problem with
+    try Ilp.solve ~binary:!binary ~node_limit built.Sync_lp.problem with
     | Ilp.Unbounded_relaxation { depth; _ } ->
       Simulate.internal_error ~component:"Sync_ilp"
         "unbounded relaxation at depth %d (model bug)" depth

@@ -121,9 +121,7 @@ type built = {
   aug : augmented;
   intervals : interval array;
   problem : Lp_problem.t;
-  var_of : (var_kind, int) Hashtbl.t;
   kind_of : var_kind array;  (* indexed by LP variable *)
-  binary : int list;  (* variables with 0-1 semantics (all but Pool) *)
 }
 
 (* Model prunings applied before the tableau is built (all exact: they
@@ -181,11 +179,9 @@ let build (inst : Instance.t) : built =
     done
   in
   let b = Lp_problem.Builder.create ~direction:Lp_problem.Minimize () in
-  let var_of = Hashtbl.create 1024 in
   let kinds = ref [] in
   let mk kind name =
     let v = Lp_problem.Builder.add_var b name in
-    Hashtbl.replace var_of kind v;
     kinds := kind :: !kinds;
     v
   in
@@ -323,14 +319,7 @@ let build (inst : Instance.t) : built =
   end;
   let problem = Lp_problem.Builder.freeze b in
   let kind_of = Array.of_list (List.rev !kinds) in
-  let binary = ref [] in
-  (* Pool variables range over [0, n_sinit], and their integrality follows
-     from C3 once the f/e/x variables are integral: branch and bound must
-     not treat them as 0-1. *)
-  Array.iteri
-    (fun v k -> match k with Pool _ -> () | _ -> binary := v :: !binary)
-    kind_of;
-  { aug; intervals; problem; var_of; kind_of; binary = List.rev !binary }
+  { aug; intervals; problem; kind_of }
 
 (* ------------------------------------------------------------------ *)
 (* Fractional solutions. *)

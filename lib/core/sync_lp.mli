@@ -61,11 +61,7 @@ type built = {
   aug : augmented;
   intervals : interval array;  (** all candidate intervals, in < order *)
   problem : Lp_problem.t;
-  var_of : (var_kind, int) Hashtbl.t;
-  kind_of : var_kind array;
-  binary : int list;
-      (** variables with 0-1 semantics — pass to {!Ilp.solve} (pool
-          variables are excluded; their integrality is implied) *)
+  kind_of : var_kind array;  (** the kind of each LP variable, by index *)
 }
 
 val build : Instance.t -> built

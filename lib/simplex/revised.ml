@@ -8,6 +8,24 @@
    what lets the synchronized parallel-disk LPs ({!Sync_lp}) scale to
    thousands of candidate intervals and D >> 2 disks.
 
+   Pricing reads reduced costs kept current from pivot to pivot rather
+   than recomputed.  After a pivot on row r that entered column q with
+   reduced cost d_q, the pivot row rho_r = e_r^T B^-1 of the new basis
+   comes from a hypersparse BTRAN ({!Lp_field.rho_hyper}), which visits
+   only the etas that row reaches, and then y += d_q rho_r and
+   d_j -= d_q rho_r^T a_j over the non-basic columns, through a row-wise
+   copy of the columns.  A pivot thus costs what its pivot row costs,
+   not a full BTRAN plus a chunk of dot products.  The duals and every
+   reduced cost are refreshed (a full BTRAN, then a full pricing) at
+   each refactorization, every 128 pivots, and at each phase start, and
+   a pricing sweep that finds nothing on updated values is repeated on
+   fresh ones before it proves optimality.  Over rationals the updated
+   values equal the fresh ones exactly, so the exact solver's path is
+   unchanged.  Over floats they differ from fresh ones only by rounding;
+   on the acceptance LP of test_lp_scale.ml that moves no comparison
+   across the 1e-9 tolerance, and its pinned 5,886-pivot path and final
+   basis are unchanged.
+
    [solve_lp] keeps the float-then-certify two-track structure of
    {!Simplex.solve_exact}: solve over floats, re-factorize and verify the
    final basis over exact rationals (primal + dual feasibility), and fall
@@ -137,17 +155,21 @@ module Make (F : Lp_field.FIELD) = struct
     in_basis : bool array;  (* length total *)
     art_sign : F.t array;  (* artificial column of row i is art_sign.(i) * e_i *)
     x_b : F.t array;  (* basic values, aligned with [basis] positions *)
-    mutable etas : F.t Lp_field.eta array;  (* the product-form inverse *)
-    mutable n_etas : int;
+    etas : F.t Lp_field.etas;  (* the product-form inverse *)
+    (* The last factorization's row index: its etas' pivot and off-pivot
+       rows, and the heap workspace of the hypersparse FTRAN and BTRAN. *)
+    ix : Lp_field.rowix;
     scratch : F.t array;  (* FTRAN workspace, length m *)
-    (* Shared sparsity tracker for FTRAN workspaces.  At most one tracked
+    (* Shared sparsity tracker for tracked workspaces.  At most one tracked
        vector is live at a time; it must be cleared with [clear_tracked]
        before the next tracked load. *)
     tr : Lp_field.tracker;
-    (* [factorize] only: the eta pivoting on each row (-1 if none), and the
-       heap workspace of [Lp_field.ftran_hyper]. *)
-    eta_of_row : int array;  (* length m *)
-    heap : int array;  (* length m *)
+    (* [factorize]'s column order, its sort key, and the pivoted rows and
+       their columns, reused by every factorization. *)
+    order : int array;
+    nnz_key : int array;
+    row_done : bool array;
+    new_basis : int array;
   }
 
   let make_ctx (std : sparse_standard) : ctx =
@@ -161,27 +183,14 @@ module Make (F : Lp_field.FIELD) = struct
       in_basis = Array.make (std.s_ncols + m) false;
       art_sign = Array.make m F.one;
       x_b = Array.make m F.zero;
-      etas = Array.make 64 { Lp_field.er = 0; ei = [||]; ev = [||]; epiv = F.one };
-      n_etas = 0;
+      etas = Lp_field.create_etas F.zero;
+      ix = Lp_field.rowix m;
       scratch = Array.make m F.zero;
-      tr = { Lp_field.mark = Array.make m false; nzl = Array.make m 0; n_nz = 0 };
-      eta_of_row = Array.make m (-1);
-      heap = Array.make m 0 }
-
-  let push_eta ctx e =
-    if ctx.n_etas = Array.length ctx.etas then begin
-      let bigger = Array.make (2 * ctx.n_etas) e in
-      Array.blit ctx.etas 0 bigger 0 ctx.n_etas;
-      ctx.etas <- bigger
-    end;
-    ctx.etas.(ctx.n_etas) <- e;
-    ctx.n_etas <- ctx.n_etas + 1
-
-  (* x <- B^-1 x, applying the eta file forward. *)
-  let ftran ctx (x : F.t array) = F.ftran ctx.etas ctx.n_etas x
-
-  (* y <- B^-T y, applying the eta file in reverse. *)
-  let btran ctx (y : F.t array) = F.btran ctx.etas ctx.n_etas y
+      tr = Lp_field.tracker m;
+      order = Array.make m 0;
+      nnz_key = Array.make m 0;
+      row_done = Array.make m false;
+      new_basis = Array.make m (-1) }
 
   let col_nnz ctx j = if j < ctx.ncols then Array.length (fst ctx.cols.(j)) else 1
 
@@ -189,24 +198,13 @@ module Make (F : Lp_field.FIELD) = struct
      [x], so downstream scans are O(fill) instead of O(m).  Positions only
      become nonzero through tracked writes; [clear_tracked] re-zeroes
      exactly the written positions. *)
-  let clear_tracked ctx (x : F.t array) =
-    let tr = ctx.tr in
-    for q = 0 to tr.n_nz - 1 do
-      let i = tr.nzl.(q) in
-      x.(i) <- F.zero;
-      tr.mark.(i) <- false
-    done;
-    tr.n_nz <- 0
+  let clear_tracked ctx (x : F.t array) = Lp_field.clear_tracked F.zero x ctx.tr
 
   (* Load column j into the all-zero tracked vector [x]. *)
   let load_col_t ctx (x : F.t array) j =
     if j < ctx.ncols then begin
       let ri, rv = ctx.cols.(j) in
-      for q = 0 to Array.length ri - 1 do
-        let i = ri.(q) in
-        Lp_field.touch ctx.tr i;
-        x.(i) <- rv.(q)
-      done
+      F.load_tracked ri rv x ctx.tr
     end
     else begin
       let i = j - ctx.ncols in
@@ -214,83 +212,58 @@ module Make (F : Lp_field.FIELD) = struct
       x.(i) <- ctx.art_sign.(i)
     end
 
-  (* FTRAN on a tracked vector.  x.(er) <> 0 implies er is already
-     marked; only an eta's off-pivot rows can be new. *)
-  let ftran_t ctx (x : F.t array) = F.ftran_tracked ctx.etas ctx.n_etas x ctx.tr
+  (* FTRAN on a tracked vector: hypersparse over the last factorization's
+     etas, then every update eta in order.  The same etas apply, in the
+     same order, as in a full tracked FTRAN. *)
+  let ftran_t ctx (x : F.t array) =
+    let f = ctx.etas in
+    Lp_field.ftran_hyper F.eta_tracked f ctx.ix x ctx.tr;
+    for t = ctx.ix.Lp_field.n_fact to f.Lp_field.n - 1 do
+      F.eta_tracked f t x ctx.tr
+    done
 
-  (* Rebuild the eta file from the current basis set and recompute x_b.
-     Columns are pivoted sparsest-first, preferring exact +-1 pivots (cheap
-     rationals, stable floats); basis positions are permuted accordingly.
+  (* Rebuild the eta file from the current basis set, index it, and
+     recompute x_b.  Columns are pivoted sparsest-first, preferring exact
+     +-1 pivots (cheap rationals, stable floats); basis positions are
+     permuted accordingly.
      @raise Singular_basis if the basis columns do not span. *)
   let factorize ctx =
     stats.Simplex.refactorizations <- stats.Simplex.refactorizations + 1;
-    ctx.n_etas <- 0;
-    Array.fill ctx.eta_of_row 0 ctx.m (-1);
-    let order = Array.init ctx.m (fun i -> i) in
-    Array.sort (fun a b -> compare (col_nnz ctx ctx.basis.(a)) (col_nnz ctx ctx.basis.(b))) order;
-    let row_done = Array.make ctx.m false in
-    let new_basis = Array.make ctx.m (-1) in
-    let tr = ctx.tr in
-    let minus_one = F.neg F.one in
-    Array.iter
-      (fun p ->
-         let j = ctx.basis.(p) in
-         load_col_t ctx ctx.scratch j;
-         (* The etas pushed so far all have distinct pivot rows. *)
-         Lp_field.ftran_hyper F.eta_tracked ctx.etas ctx.eta_of_row ctx.heap ctx.scratch tr;
-         let r = ref (-1) in
-         let best = ref 0.0 in
-         for q = 0 to tr.n_nz - 1 do
-           let i = tr.nzl.(q) in
-           if (not row_done.(i)) && not (F.is_zero ctx.scratch.(i)) then begin
-             let v = ctx.scratch.(i) in
-             let mag =
-               if F.compare v F.one = 0 || F.compare v minus_one = 0 then Float.infinity
-               else Float.abs (F.to_float v)
-             in
-             if !r < 0 || mag > !best then begin
-               r := i;
-               best := mag
-             end
-           end
-         done;
-         if !r < 0 then begin
-           clear_tracked ctx ctx.scratch;
-           raise Singular_basis
-         end;
-         let r = !r in
-         let cnt = ref 0 in
-         for q = 0 to tr.n_nz - 1 do
-           let i = tr.nzl.(q) in
-           if i <> r && not (F.is_zero ctx.scratch.(i)) then incr cnt
-         done;
-         (* Unit pivots with no off-pivot fill (slack/artificial columns
-            not yet touched by fill-in) are identity etas: skip them, so
-            the eta file length tracks the structural basis content, not
-            m.  FTRAN/BTRAN cost scales with the file length, so this is
-            the difference between O(nnz) and O(m) iterations. *)
-         if !cnt > 0 || not (F.compare ctx.scratch.(r) F.one = 0) then begin
-           let ei = Array.make !cnt 0 in
-           let ev = Array.make !cnt F.zero in
-           let w = ref 0 in
-           for q = 0 to tr.n_nz - 1 do
-             let i = tr.nzl.(q) in
-             if i <> r && not (F.is_zero ctx.scratch.(i)) then begin
-               ei.(!w) <- i;
-               ev.(!w) <- ctx.scratch.(i);
-               incr w
-             end
-           done;
-           ctx.eta_of_row.(r) <- ctx.n_etas;
-           push_eta ctx { Lp_field.er = r; ei; ev; epiv = ctx.scratch.(r) }
-         end;
-         clear_tracked ctx ctx.scratch;
-         row_done.(r) <- true;
-         new_basis.(r) <- j)
-      order;
-    Array.blit new_basis 0 ctx.basis 0 ctx.m;
-    Array.blit ctx.b 0 ctx.x_b 0 ctx.m;
-    ftran ctx ctx.x_b
+    let m = ctx.m and f = ctx.etas and ix = ctx.ix and tr = ctx.tr in
+    f.Lp_field.n <- 0;
+    Array.fill ix.Lp_field.eta_of_row 0 m (-1);
+    Array.fill ctx.row_done 0 m false;
+    let order = ctx.order and key = ctx.nnz_key in
+    for p = 0 to m - 1 do
+      order.(p) <- p;
+      key.(p) <- col_nnz ctx ctx.basis.(p)
+    done;
+    Array.sort (fun a b -> compare key.(a) key.(b)) order;
+    for k = 0 to m - 1 do
+      let j = ctx.basis.(order.(k)) in
+      load_col_t ctx ctx.scratch j;
+      (* The etas pushed so far all have distinct pivot rows. *)
+      Lp_field.ftran_hyper F.eta_tracked f ix ctx.scratch tr;
+      let r = F.choose_pivot ctx.scratch tr ctx.row_done in
+      if r < 0 then begin
+        clear_tracked ctx ctx.scratch;
+        raise Singular_basis
+      end;
+      (* Unit pivots with no off-pivot fill (slack/artificial columns not
+         yet touched by fill-in) are identity etas: skip them, so the eta
+         file length tracks the structural basis content, not m.
+         FTRAN/BTRAN cost scales with the file length, so this is the
+         difference between O(nnz) and O(m) iterations. *)
+      if F.push_tracked f ~skip_identity:true r ctx.scratch tr then
+        ix.Lp_field.eta_of_row.(r) <- f.Lp_field.n - 1;
+      clear_tracked ctx ctx.scratch;
+      ctx.row_done.(r) <- true;
+      ctx.new_basis.(r) <- j
+    done;
+    Array.blit ctx.new_basis 0 ctx.basis 0 m;
+    Lp_field.index_factorization f ix;
+    Array.blit ctx.b 0 ctx.x_b 0 m;
+    F.ftran f ctx.x_b
 
   (* ---------------------------------------------------------------- *)
 
@@ -372,116 +345,62 @@ module Make (F : Lp_field.FIELD) = struct
        init_cold ()
      | None -> init_cold ());
     (* ---------------- pricing and pivoting ---------------- *)
+    (* Duals [y] and the reduced costs [d] of the columns [0, ncols) are
+       kept current from pivot to pivot: [refresh] recomputes them (a full
+       BTRAN of the basic costs, then every reduced cost), and each pivot
+       that does not refactorize updates them from its pivot row.  [fresh]
+       says no update has happened since the last refresh. *)
     let cost = Array.make ctx.total F.zero in
     let y = Array.make m F.zero in
-    let wcol = Array.make m F.zero in
-    let compute_duals () =
+    let d = Array.make ncols F.zero in
+    let fresh = ref false in
+    let refresh () =
       F.gather y ctx.basis cost;
-      btran ctx y
+      F.btran ctx.etas y;
+      F.reduced_costs cost ctx.cols y ctx.in_basis d;
+      fresh := true
     in
-    let reduced j = F.reduced_cost cost ctx.cols y j in
+    let wcol = Array.make m F.zero in
+    let rho = Array.make m F.zero in
+    let rows = Lp_field.rows_of_cols m ctx.cols F.zero in
+    let alpha = Array.make ncols F.zero in
+    let atr = Lp_field.tracker ncols in
+    (* After a pivot on row r that entered a column with reduced cost dq:
+       rho_r = e_r^T B^-1 of the new basis, by hypersparse BTRAN; then
+       y <- y + dq rho_r and d_j <- d_j - dq rho_r^T a_j for the
+       non-basic columns (the entering one is basic now, and the leaving
+       one was zeroed by the caller). *)
+    let update_from_row r dq =
+      Lp_field.touch ctx.tr r;
+      rho.(r) <- F.one;
+      Lp_field.rho_hyper F.btran_eta_tracked ctx.etas ctx.ix rho ctx.tr;
+      F.update_duals dq rho ctx.tr y rows ctx.in_basis d alpha atr;
+      clear_tracked ctx rho;
+      fresh := false
+    in
     (* Dantzig with partial pricing: scan a wrap-around chunk of columns
        from where the last scan stopped, returning the most negative
-       reduced cost seen; a full fruitless sweep proves optimality. *)
+       reduced cost seen; a full fruitless sweep proves optimality once
+       the reduced costs are fresh.  Bland: first non-basic column (in
+       index order) with negative reduced cost.  Cannot cycle; artificials
+       are excluded by construction. *)
     let price_from = ref 0 in
     let chunk = max 512 (ncols / 8) in
-    let price_dantzig () =
-      compute_duals ();
-      let best_j = ref (-1) in
-      let best_d = ref F.zero in
-      let examined = ref 0 in
-      let j = ref !price_from in
-      let continue_ = ref true in
-      while !continue_ do
-        if !examined >= ncols || (!best_j >= 0 && !examined >= chunk) then continue_ := false
-        else begin
-          let jj = !j in
-          if not ctx.in_basis.(jj) then begin
-            let d = reduced jj in
-            if lt0 d && (!best_j < 0 || F.compare d !best_d < 0) then begin
-              best_j := jj;
-              best_d := d
-            end
-          end;
-          incr examined;
-          j := jj + 1;
-          if !j >= ncols then j := 0
-        end
-      done;
-      price_from := !j;
-      !best_j
-    in
-    (* Bland: first non-basic column (in index order) with negative reduced
-       cost.  Cannot cycle; artificials are excluded by construction. *)
-    let price_bland () =
-      compute_duals ();
-      let found = ref (-1) in
-      (try
-         for j = 0 to ncols - 1 do
-           if (not ctx.in_basis.(j)) && lt0 (reduced j) then begin
-             found := j;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !found
+    let price bland =
+      if bland then F.price_bland d ctx.in_basis
+      else F.price_dantzig d ctx.in_basis chunk price_from
     in
     (* Ratio test over the tracked wcol = B^-1 A_j.  Ties go to the larger
        pivot magnitude under Dantzig (degenerate ties are the common case
        and a large pivot keeps the eta file well conditioned in float), and
        to the smaller basis column id under Bland (required for the
        termination argument).  Returns the leaving position. *)
-    let pivot_pref entry = Float.abs (F.to_float entry) in
-    let ratio_test bland =
-      let leave = ref (-1) in
-      let best_ratio = ref F.zero in
-      for q = 0 to ctx.tr.n_nz - 1 do
-        let i = ctx.tr.nzl.(q) in
-        let entry = wcol.(i) in
-        if gt0 entry then begin
-          let ratio = F.div ctx.x_b.(i) entry in
-          let better =
-            !leave < 0
-            || F.compare ratio !best_ratio < 0
-            || (F.compare ratio !best_ratio = 0
-                &&
-                if bland then ctx.basis.(i) < ctx.basis.(!leave)
-                else pivot_pref entry > pivot_pref wcol.(!leave))
-          in
-          if better then begin
-            leave := i;
-            best_ratio := ratio
-          end
-        end
-      done;
-      !leave
-    in
+    let ratio_test bland = F.ratio_test wcol ctx.tr ctx.x_b ctx.basis bland in
     (* Replace basis position [leave] by column j; the tracked wcol holds
        B^-1 A_j and is consumed (cleared).  Returns the primal step theta. *)
     let do_pivot leave j =
-      let theta = F.div ctx.x_b.(leave) wcol.(leave) in
-      let cnt = ref 0 in
-      for q = 0 to ctx.tr.n_nz - 1 do
-        let i = ctx.tr.nzl.(q) in
-        if i <> leave && not (F.is_zero wcol.(i)) then begin
-          incr cnt;
-          if not (F.is_zero theta) then
-            ctx.x_b.(i) <- F.sub ctx.x_b.(i) (F.mul wcol.(i) theta)
-        end
-      done;
-      ctx.x_b.(leave) <- theta;
-      let ei = Array.make !cnt 0 in
-      let ev = Array.make !cnt F.zero in
-      let w = ref 0 in
-      for q = 0 to ctx.tr.n_nz - 1 do
-        let i = ctx.tr.nzl.(q) in
-        if i <> leave && not (F.is_zero wcol.(i)) then begin
-          ei.(!w) <- i;
-          ev.(!w) <- wcol.(i);
-          incr w
-        end
-      done;
-      push_eta ctx { er = leave; ei; ev; epiv = wcol.(leave) };
+      let theta = F.pivot_primal ctx.x_b wcol ctx.tr leave in
+      ignore (F.push_tracked ctx.etas ~skip_identity:false leave wcol ctx.tr);
       clear_tracked ctx wcol;
       ctx.in_basis.(ctx.basis.(leave)) <- false;
       ctx.in_basis.(j) <- true;
@@ -495,9 +414,17 @@ module Make (F : Lp_field.FIELD) = struct
     in
     let optimize () =
       price_from := 0;
+      refresh ();
       let rec loop iters stalled bland since_refactor =
         if iters > max_iters then raise Iteration_limit;
-        let j = if bland then price_bland () else price_dantzig () in
+        let j = price bland in
+        let j =
+          if j < 0 && not !fresh then begin
+            refresh ();
+            price bland
+          end
+          else j
+        in
         if j < 0 then `Optimal
         else begin
           load_col_t ctx wcol j;
@@ -508,6 +435,8 @@ module Make (F : Lp_field.FIELD) = struct
             `Unbounded
           end
           else begin
+            let dq = d.(j) in
+            let left = ctx.basis.(leave) in
             let theta = do_pivot leave j in
             stats.Simplex.pivots <- stats.Simplex.pivots + 1;
             let since_refactor = since_refactor + 1 in
@@ -519,9 +448,15 @@ module Make (F : Lp_field.FIELD) = struct
                 (match factorize ctx with
                  | () -> ()
                  | exception Singular_basis -> raise Iteration_limit);
+                refresh ();
                 0
               end
-              else since_refactor
+              else begin
+                d.(j) <- F.zero;
+                if left < ncols then d.(left) <- F.zero;
+                update_from_row leave dq;
+                since_refactor
+              end
             in
             (* The entering reduced cost is strictly negative, so the
                objective strictly improves iff the step is nonzero. *)
@@ -564,13 +499,14 @@ module Make (F : Lp_field.FIELD) = struct
           if gt0 (infeasibility ()) then raise Infeasible_lp
         end;
         (* Drive remaining artificials (basic at ~0) out of the basis where
-           a substitute column exists; redundant rows keep theirs. *)
+           a substitute column exists; redundant rows keep theirs.  These
+           pivots leave [y] and [d] stale; phase 2 refreshes them. *)
         let exception Found of int in
         for r = 0 to m - 1 do
           if ctx.basis.(r) >= ncols then begin
             Array.fill y 0 m F.zero;
             y.(r) <- F.one;
-            btran ctx y;
+            F.btran ctx.etas y;
             let found =
               try
                 for j = 0 to ncols - 1 do
@@ -659,7 +595,7 @@ module Make (F : Lp_field.FIELD) = struct
               let j = ctx.basis.(i) in
               y.(i) <- (if j < std.s_ncols then F.of_rat std.s_cost.(j) else F.zero)
             done;
-            btran ctx y;
+            F.btran ctx.etas y;
             let cost = Array.map F.of_rat std.s_cost in
             let dual_ok = ref true in
             (try

@@ -26,7 +26,15 @@
      of the single-disk trace: [Simulate.run], [run_faulty] under 10%
      jitter of up to 4 units, and [Delayed.run] at window 8 under
      Uniform 2-8 latency.
-   - Index: [Next_ref.of_instance] of the single-disk trace. *)
+   - Index: [Next_ref.of_instance] of the single-disk trace.
+   - LP: the synchronized-LP pipeline on a Zipf(0.9) trace of 40 requests
+     over 6 blocks, k = 4, F = 3, striped over two disks (154 candidate
+     intervals; its float solve takes 612 pivots and 5 refactorizations,
+     so the every-128 refresh runs): [Sync_lp.build], [Revised.solve_lp]
+     of its problem, and the whole [Rounding.solve].  Then the float
+     track alone ([Revised.Float_rev.solve_std]) on the 1090-interval
+     D = 4 instance of test_lp_scale.ml, whose pivot path that file
+     pins. *)
 
 let settled_words f =
   Gc.minor ();
@@ -83,6 +91,25 @@ let executor_rows () =
     ("Delayed.run (window 8, uniform 2-8)",
      fun () -> Result.map (fun o -> o.Delayed.base) (Delayed.run ~window:8 ~faults:latency single sched)) ]
 
+let small_lp =
+  lazy
+    (Workload.parallel_instance ~k:4 ~fetch_time:3 ~num_disks:2 ~layout:Workload.striped_layout
+       (Workload.zipf ~seed:1 ~alpha:0.9 ~n:40 ~num_blocks:6))
+
+let acceptance_lp =
+  lazy
+    (Workload.parallel_instance ~k:6 ~fetch_time:4 ~num_disks:4 ~layout:Workload.striped_layout
+       (Workload.zipf ~seed:1 ~alpha:0.9 ~n:220 ~num_blocks:8))
+
+let lp_rows () =
+  let small = Lazy.force small_lp in
+  let problem = (Sync_lp.build small).Sync_lp.problem in
+  let std = Revised.sparse_standardize (Sync_lp.build (Lazy.force acceptance_lp)).Sync_lp.problem in
+  [ ("Sync_lp.build", fun () -> ignore (Sync_lp.build small));
+    ("Revised.solve_lp", fun () -> ignore (Revised.solve_lp problem));
+    ("Rounding.solve", fun () -> ignore (Rounding.solve small));
+    ("Float_rev.solve_std (1090 intervals)", fun () -> ignore (Revised.Float_rev.solve_std std)) ]
+
 let index_rows () =
   let single = Lazy.force single in
   [ ("Next_ref.of_instance", fun () -> Next_ref.of_instance single) ]
@@ -113,6 +140,12 @@ let pinned_executor =
 
 let pinned_index = [ ("Next_ref.of_instance", 203_144) ]
 
+let pinned_lp =
+  [ ("Sync_lp.build", 892_184);
+    ("Revised.solve_lp", 599_367);
+    ("Rounding.solve", 1_499_353);
+    ("Float_rev.solve_std (1090 intervals)", 3_404_671) ]
+
 (* Measure every row, then report every mismatch at once, so a
    deliberate change can re-record the whole table from one failure. *)
 let check_table pinned rows () =
@@ -134,4 +167,5 @@ let () =
        [ Alcotest.test_case "batch schedulers" `Quick (check_table pinned_batch batch_rows);
          Alcotest.test_case "stream policies" `Quick (check_table pinned_stream stream_rows);
          Alcotest.test_case "executor replays" `Quick (check_table pinned_executor executor_rows);
-         Alcotest.test_case "next-ref index" `Quick (check_table pinned_index index_rows) ]) ]
+         Alcotest.test_case "next-ref index" `Quick (check_table pinned_index index_rows);
+         Alcotest.test_case "LP pipeline" `Quick (check_table pinned_lp lp_rows) ]) ]

@@ -354,12 +354,12 @@ let prop_standardize_roundtrip =
 
 (* ------------------------------------------------------------------ *)
 (* Field kernels: the array loops behind [Lp_field.FIELD] that the revised
-   simplex runs its FTRAN/BTRAN, pricing and dual gather through.  Cases
-   use small integers and pivots in {+-1, +-2, +-4}, so every value is a
-   dyadic rational that floats represent exactly and no nonzero comes
-   near the float field's 1e-9 zero tolerance: the float and rational
-   kernels must then agree value for value, and the tracked FTRAN must
-   list the written positions in the same order (that order decides
+   simplex runs its FTRAN/BTRAN, factorization, pricing and dual updates
+   through.  Cases use small integers and pivots in {+-1, +-2, +-4}, so
+   every value is a dyadic rational that floats represent exactly and no
+   nonzero comes near the float field's 1e-9 zero tolerance: the float and
+   rational kernels must then agree value for value, and the tracked FTRAN
+   must list the written positions in the same order (that order decides
    pivot ties in the solver). *)
 
 type kernel_case = {
@@ -370,7 +370,28 @@ type kernel_case = {
   kcols : (int * int) list list;  (* sparse columns, ascending rows *)
   kcost : int list;  (* one cost per column, plus one *)
   kidx : int list;  (* gather indices into the costs *)
+  kbasic : bool list;  (* per column: basic, for pricing *)
+  kfrom : int;  (* where the Dantzig scan starts *)
 }
+
+(* A random eta over [rows] pivoting on [er]: off-pivot entries on up to
+   all other rows, values drawn from [value]. *)
+let gen_eta rows value er =
+  QCheck2.Gen.(
+    let* others = shuffle_l (List.filter (fun r -> r <> er) rows) in
+    let* k = int_range 0 (List.length others) in
+    let* ei =
+      flatten_l (List.map (fun r -> map (fun v -> (r, v)) value) (List.filteri (fun i _ -> i < k) others))
+    in
+    let* piv = oneofl [ 1; -1; 2; -2; 4; -4 ] in
+    return (er, ei, piv))
+
+(* Pivot rows of a factorization: distinct, in random order. *)
+let gen_distinct_rows m =
+  QCheck2.Gen.(
+    let* rs = shuffle_l (List.init m Fun.id) in
+    let* k = int_range 0 m in
+    return (List.filteri (fun i _ -> i < k) rs))
 
 (* [distinct_pivots] gives every eta its own pivot row, as within one
    basis factorization; otherwise rows may repeat, as after pivots. *)
@@ -385,19 +406,11 @@ let gen_kernel_case ~distinct_pivots =
         (List.map (fun r -> map (fun v -> (r, v)) range) (List.filteri (fun i _ -> i < k) rs))
     in
     let entry = int_range (-2) 2 in
-    let gen_eta er =
-      let* ei = sparse (List.filter (fun r -> r <> er) rows) entry in
-      let* piv = oneofl [ 1; -1; 2; -2; 4; -4 ] in
-      return (er, ei, piv)
-    in
     let* pivot_rows =
-      if distinct_pivots then
-        let* rs = shuffle_l rows in
-        let* k = int_range 0 m in
-        return (List.filteri (fun i _ -> i < k) rs)
+      if distinct_pivots then gen_distinct_rows m
       else list_size (int_range 0 6) (int_range 0 (m - 1))
     in
-    let* ketas = flatten_l (List.map gen_eta pivot_rows) in
+    let* ketas = flatten_l (List.map (gen_eta rows entry) pivot_rows) in
     let* kx = sparse rows (int_range (-5) 5) in
     let* ky = sparse rows (int_range (-5) 5) in
     let* kcols =
@@ -406,23 +419,122 @@ let gen_kernel_case ~distinct_pivots =
     let ncols = List.length kcols in
     let* kcost = list_size (return (ncols + 1)) (int_range (-5) 5) in
     let* kidx = list_size (int_range 0 m) (int_range 0 ncols) in
-    return { km = m; ketas; kx; ky; kcols; kcost; kidx })
+    let* kbasic = list_size (return ncols) bool in
+    let* kfrom = int_range 0 (max 0 (ncols - 1)) in
+    return { km = m; ketas; kx; ky; kcols; kcost; kidx; kbasic; kfrom })
+
+(* Eta-file cases for the hypersparse BTRAN of a unit row: a factorization
+   (distinct pivot rows, indexed) followed by update etas whose pivot rows
+   repeat, with entries that include values inside the float field's zero
+   tolerance (+-1e-10), and two unit rows solved in turn in one workspace.
+   Entries are (numerator, denominator). *)
+type rho_case = {
+  rm : int;
+  rfact : (int * (int * (int * int)) list * int) list;
+  rupd : (int * (int * (int * int)) list * int) list;
+  rrows : int * int;
+}
+
+let gen_rho_case =
+  QCheck2.Gen.(
+    let* m = int_range 1 8 in
+    let rows = List.init m Fun.id in
+    let value =
+      frequency
+        [ (6, map (fun v -> (v, 1)) (int_range (-2) 2));
+          (2, oneofl [ (1, 10_000_000_000); (-1, 10_000_000_000) ]) ]
+    in
+    let* fact_rows = gen_distinct_rows m in
+    let* rfact = flatten_l (List.map (gen_eta rows value) fact_rows) in
+    let* upd_rows = list_size (int_range 0 6) (int_range 0 (m - 1)) in
+    let* rupd = flatten_l (List.map (gen_eta rows value) upd_rows) in
+    let* r1 = int_range 0 (m - 1) in
+    let* r2 = int_range 0 (m - 1) in
+    return { rm = m; rfact; rupd; rrows = (r1, r2) })
+
+(* One pivot's dual update: an indexed factorization plus update etas as
+   the basis inverse, sparse columns with costs, the basic costs, and the
+   entering column. *)
+type dual_case = {
+  dm : int;
+  dfact : (int * (int * int) list * int) list;
+  dupd : (int * (int * int) list * int) list;
+  dcols : (int * int) list list;  (* sparse columns, ascending rows *)
+  dcost : int list;  (* per column *)
+  dcb : int list;  (* basic cost per row *)
+  denter : int;
+}
+
+let gen_dual_case =
+  QCheck2.Gen.(
+    let* m = int_range 1 6 in
+    let rows = List.init m Fun.id in
+    let entry = int_range (-2) 2 in
+    let* fact_rows = gen_distinct_rows m in
+    let* dfact = flatten_l (List.map (gen_eta rows entry) fact_rows) in
+    let* upd_rows = list_size (int_range 0 3) (int_range 0 (m - 1)) in
+    let* dupd = flatten_l (List.map (gen_eta rows entry) upd_rows) in
+    let col =
+      let* rs = shuffle_l rows in
+      let* k = int_range 1 m in
+      let* c =
+        flatten_l
+          (List.map (fun r -> map (fun v -> (r, v)) (oneofl [ -1; 1; 2 ])) (List.filteri (fun i _ -> i < k) rs))
+      in
+      return (List.sort compare c)
+    in
+    let* dcols = list_size (int_range 1 5) col in
+    let ncols = List.length dcols in
+    let* dcost = list_size (return ncols) (int_range (-5) 5) in
+    let* dcb = list_size (return m) (int_range (-5) 5) in
+    let* denter = int_range 0 (ncols - 1) in
+    return { dm = m; dfact; dupd; dcols; dcost; dcb; denter })
+
+(* Append one eta to a file, entry by entry as given (zero entries
+   included). *)
+let push_raw (f : 'a Lp_field.etas) (zero : 'a) er (entries : (int * 'a) list) (piv : 'a) =
+  Lp_field.reserve f zero (List.length entries);
+  let base = f.Lp_field.start.(f.Lp_field.n) in
+  List.iteri
+    (fun k (i, v) ->
+       f.Lp_field.ei.(base + k) <- i;
+       f.Lp_field.ev.(base + k) <- v)
+    entries;
+  f.Lp_field.er.(f.Lp_field.n) <- er;
+  f.Lp_field.epiv.(f.Lp_field.n) <- piv;
+  f.Lp_field.n <- f.Lp_field.n + 1;
+  f.Lp_field.start.(f.Lp_field.n) <- base + List.length entries
 
 module Kernels (F : Lp_field.FIELD) = struct
   let of_int n = F.of_rat (R.of_int n)
+  let of_q (num, den) = F.of_rat (R.of_ints num den)
 
-  let etas c =
-    Array.of_list
-      (List.map
-         (fun (er, ei, piv) ->
-            { Lp_field.er;
-              ei = Array.of_list (List.map fst ei);
-              ev = Array.of_list (List.map (fun (_, v) -> of_int v) ei);
-              epiv = of_int piv })
-         c.ketas)
+  let file of_v etas =
+    let f = Lp_field.create_etas F.zero in
+    List.iter (fun (er, ei, piv) -> push_raw f F.zero er (List.map (fun (i, v) -> (i, of_v v)) ei) (of_int piv)) etas;
+    f
 
-  let tracker m = { Lp_field.mark = Array.make m false; nzl = Array.make m 0; n_nz = 0 }
+  (* A factorization, indexed, followed by update etas. *)
+  let indexed_file m of_v fact upd =
+    let f = Lp_field.create_etas F.zero in
+    let ix = Lp_field.rowix m in
+    let push (er, ei, piv) = push_raw f F.zero er (List.map (fun (i, v) -> (i, of_v v)) ei) (of_int piv) in
+    List.iter
+      (fun ((er, _, _) as e) ->
+         ix.Lp_field.eta_of_row.(er) <- f.Lp_field.n;
+         push e)
+      fact;
+    Lp_field.index_factorization f ix;
+    List.iter push upd;
+    (f, ix)
+
   let nz_list tr = Array.to_list (Array.sub tr.Lp_field.nzl 0 tr.Lp_field.n_nz)
+
+  (* The full tracked FTRAN: every eta, in index order. *)
+  let ftran_tracked f x tr =
+    for t = 0 to f.Lp_field.n - 1 do
+      F.eta_tracked f t x tr
+    done
 
   let dense m entries =
     let x = Array.make m F.zero in
@@ -431,7 +543,7 @@ module Kernels (F : Lp_field.FIELD) = struct
 
   (* A tracked vector loaded entry by entry, as [Revised] loads columns. *)
   let tracked m entries =
-    let tr = tracker m in
+    let tr = Lp_field.tracker m in
     let x = Array.make m F.zero in
     List.iter
       (fun (i, v) ->
@@ -442,42 +554,134 @@ module Kernels (F : Lp_field.FIELD) = struct
 
   let floats a = Array.to_list (Array.map F.to_float a)
 
+  let sparse_cols kcols =
+    Array.of_list
+      (List.map
+         (fun col ->
+            (Array.of_list (List.map fst col), Array.of_list (List.map (fun (_, v) -> of_int v) col)))
+         kcols)
+
   (* Every kernel's output on one case, as floats, plus the tracked
      FTRAN's written positions. *)
   let run c =
-    let m = c.km and etas = etas c in
-    let n = Array.length etas in
+    let m = c.km and etas = file of_int c.ketas in
     let x = dense m c.kx in
-    F.ftran etas n x;
+    F.ftran etas x;
     let xt, tr = tracked m c.kx in
-    F.ftran_tracked etas n xt tr;
+    ftran_tracked etas xt tr;
     let y = dense m c.ky in
-    F.btran etas n y;
-    let cols =
-      Array.of_list
-        (List.map
-           (fun col ->
-              ( Array.of_list (List.map fst col),
-                Array.of_list (List.map (fun (_, v) -> of_int v) col) ))
-           c.kcols)
-    in
+    F.btran etas y;
+    let cols = sparse_cols c.kcols in
     let cost = Array.of_list (List.map of_int c.kcost) in
     let duals = dense m c.ky in
     let reduced = Array.init (Array.length cols) (F.reduced_cost cost cols duals) in
+    let in_basis = Array.of_list c.kbasic in
+    let d = Array.make (Array.length cols) F.one in
+    F.reduced_costs cost cols duals in_basis d;
+    let from = ref c.kfrom in
+    let dantzig = if Array.length d = 0 then -1 else F.price_dantzig d in_basis 2 from in
+    let bland = F.price_bland d in_basis in
     let g = Array.make (List.length c.kidx) F.zero in
     F.gather g (Array.of_list c.kidx) cost;
-    (floats x, floats xt, nz_list tr, floats y, floats reduced, floats g)
+    (* Factorization's pivot choice and eta extraction, and a pivot's
+       primal step, on the tracked FTRAN result. *)
+    let r = F.choose_pivot xt tr (Array.make m false) in
+    let eta = Lp_field.create_etas F.zero in
+    let pushed = r >= 0 && F.push_tracked eta ~skip_identity:true r xt tr in
+    (* The step divides by the pivot: exact in floats for a power of two. *)
+    let x_b = dense m c.ky in
+    let theta =
+      if r >= 0 && fst (Float.frexp (Float.abs (F.to_float xt.(r)))) = 0.5 then
+        [ F.to_float (F.pivot_primal x_b xt tr r) ]
+      else []
+    in
+    ( (floats x, floats xt, nz_list tr, floats y, floats reduced, floats d),
+      (dantzig, !from, bland, floats g),
+      ( r,
+        pushed,
+        Array.to_list (Array.sub eta.Lp_field.ei 0 eta.Lp_field.start.(eta.Lp_field.n)),
+        floats (Array.sub eta.Lp_field.ev 0 eta.Lp_field.start.(eta.Lp_field.n)),
+        theta,
+        floats x_b ) )
 
   (* The hypersparse FTRAN of a factorization against the full scan. *)
   let hyper_agrees c =
-    let m = c.km and etas = etas c in
-    let eta_of_row = Array.make m (-1) in
-    Array.iteri (fun t e -> eta_of_row.(e.Lp_field.er) <- t) etas;
+    let m = c.km and etas = file of_int c.ketas in
+    let ix = Lp_field.rowix m in
+    for t = 0 to etas.Lp_field.n - 1 do
+      ix.Lp_field.eta_of_row.(etas.Lp_field.er.(t)) <- t
+    done;
     let x1, tr1 = tracked m c.kx in
-    F.ftran_tracked etas (Array.length etas) x1 tr1;
+    ftran_tracked etas x1 tr1;
     let x2, tr2 = tracked m c.kx in
-    Lp_field.ftran_hyper F.eta_tracked etas eta_of_row (Array.make m 0) x2 tr2;
+    Lp_field.ftran_hyper F.eta_tracked etas ix x2 tr2;
     floats x1 = floats x2 && nz_list tr1 = nz_list tr2
+
+  (* rho_r = e_r^T B^-1 by hypersparse BTRAN against a full BTRAN of e_r,
+     for two rows in turn in one workspace, which must be all zero again
+     after each clear. *)
+  let rho_agrees c =
+    let m = c.rm in
+    let f, ix = indexed_file m of_q c.rfact c.rupd in
+    let x = Array.make m F.zero and tr = Lp_field.tracker m in
+    let solve r =
+      Lp_field.touch tr r;
+      x.(r) <- F.one;
+      Lp_field.rho_hyper F.btran_eta_tracked f ix x tr;
+      let y = Array.make m F.zero in
+      y.(r) <- F.one;
+      F.btran f y;
+      let same = floats x = floats y in
+      Lp_field.clear_tracked F.zero x tr;
+      same && Array.for_all (fun v -> F.to_float v = 0.0) x
+    in
+    let r1, r2 = c.rrows in
+    let first = solve r1 in
+    solve r2 && first
+
+  (* One pivot's dual update against a fresh BTRAN and pricing.  The
+     leaving row is the first tracked row whose entry of B^-1 a_q is a
+     power of two, so floats stay exact; None if there is none.  Returns
+     the updated and the fresh (y, d). *)
+  let dual_update c =
+    let m = c.dm in
+    let f, ix = indexed_file m of_int c.dfact c.dupd in
+    let cols = sparse_cols c.dcols in
+    let nc = Array.length cols in
+    let cost = Array.of_list (List.map of_int c.dcost) in
+    let cb = Array.of_list (List.map of_int c.dcb) in
+    let in_basis = Array.make nc false in
+    let y = Array.copy cb in
+    F.btran f y;
+    let d = Array.make nc F.zero in
+    F.reduced_costs cost cols y in_basis d;
+    let q = c.denter in
+    let w = Array.make m F.zero and tr = Lp_field.tracker m in
+    F.load_tracked (fst cols.(q)) (snd cols.(q)) w tr;
+    ftran_tracked f w tr;
+    let pow2 v =
+      let a = Float.abs (F.to_float v) in
+      a > 0.0 && fst (Float.frexp a) = 0.5
+    in
+    match List.find_opt (fun i -> pow2 w.(i)) (nz_list tr) with
+    | None -> None
+    | Some r ->
+      let dq = d.(q) in
+      ignore (F.push_tracked f ~skip_identity:false r w tr);
+      Lp_field.clear_tracked F.zero w tr;
+      in_basis.(q) <- true;
+      d.(q) <- F.zero;
+      Lp_field.touch tr r;
+      w.(r) <- F.one;
+      Lp_field.rho_hyper F.btran_eta_tracked f ix w tr;
+      F.update_duals dq w tr y (Lp_field.rows_of_cols m cols F.zero) in_basis d
+        (Array.make nc F.zero) (Lp_field.tracker nc);
+      cb.(r) <- cost.(q);
+      let y' = Array.copy cb in
+      F.btran f y';
+      let d' = Array.make nc F.zero in
+      F.reduced_costs cost cols y' in_basis d';
+      Some ((y, d), (y', d'))
 end
 
 module Kf = Kernels (Lp_field.Float_field)
@@ -493,6 +697,21 @@ let prop_hyper_ftran =
     (gen_kernel_case ~distinct_pivots:true)
     (fun c -> Kr.hyper_agrees c && Kf.hyper_agrees c)
 
+let prop_rho_hyper =
+  QCheck2.Test.make ~count:1000 ~name:"hypersparse rho_r = full BTRAN of e_r" gen_rho_case
+    (fun c -> Kr.rho_agrees c && Kf.rho_agrees c)
+
+let prop_dual_update =
+  QCheck2.Test.make ~count:1000 ~name:"dual update = fresh BTRAN and pricing" gen_dual_case
+    (fun c ->
+       let floats (y, d) = (Kf.floats y, Kf.floats d) in
+       match (Kr.dual_update c, Kf.dual_update c) with
+       | None, None -> true
+       | Some ((y, d), (y', d')), Some (upd, _) ->
+         let exact a b = Array.for_all2 R.equal a b in
+         exact y y' && exact d d' && floats upd = (Kr.floats y, Kr.floats d)
+       | _ -> false)
+
 (* The float kernels drop exactly the entries [Float_field.is_zero]
    drops: |x| <= 1e-9. *)
 let test_float_kernels_tolerance () =
@@ -502,27 +721,50 @@ let test_float_kernels_tolerance () =
   Alcotest.(check bool) "is_zero -1e-9" true (Ff.is_zero (-.tiny));
   Alcotest.(check bool) "is_zero 2e-9" false (Ff.is_zero small);
   let exact = Alcotest.(array (float 0.0)) in
-  let e = { Lp_field.er = 0; ei = [| 1 |]; ev = [| 1.0 |]; epiv = 2.0 } in
+  let eta piv =
+    let f = Lp_field.create_etas 0.0 in
+    push_raw f 0.0 0 [ (1, 1.0) ] piv;
+    f
+  in
+  let e = eta 2.0 in
   let x = [| tiny; 5.0 |] in
-  Ff.ftran [| e |] 1 x;
+  Ff.ftran e x;
   Alcotest.check exact "ftran skips a 1e-9 pivot-row entry" [| tiny; 5.0 |] x;
   let x = [| small; 5.0 |] in
-  Ff.ftran [| e |] 1 x;
+  Ff.ftran e x;
   Alcotest.check exact "ftran applies a 2e-9 pivot-row entry"
     [| small /. 2.0; 5.0 -. (small /. 2.0) |] x;
   let tr = { Lp_field.mark = [| true; false |]; nzl = [| 0; 0 |]; n_nz = 1 } in
   let x = [| -.tiny; 0.0 |] in
-  Ff.ftran_tracked [| e |] 1 x tr;
+  Ff.eta_tracked e 0 x tr;
   Alcotest.check exact "tracked ftran skips it too" [| -.tiny; 0.0 |] x;
   Alcotest.(check int) "and touches nothing" 1 tr.Lp_field.n_nz;
   let y = [| 3.0; -.tiny |] in
-  Ff.btran [| { e with epiv = 1.0 } |] 1 y;
+  Ff.btran (eta 1.0) y;
   Alcotest.check exact "btran drops a 1e-9 dual" [| 3.0; -.tiny |] y;
+  (* One tracked BTRAN eta reports the class of the value it writes. *)
+  let step y =
+    let tr = Lp_field.tracker 2 in
+    let cls = Ff.btran_eta_tracked (eta 1.0) 0 y tr in
+    (cls, tr.Lp_field.n_nz)
+  in
+  Alcotest.(check (pair int int)) "exact zero written: class 0, row touched" (0, 1)
+    (step [| 0.0; tiny |]);
+  Alcotest.(check (pair int int)) "1e-9 written: class 1, row touched" (1, 1)
+    (step [| tiny; 0.0 |]);
+  Alcotest.(check (pair int int)) "2e-9 written: class 2" (2, 1) (step [| small; 0.0 |]);
   let cols = [| ([| 0; 1 |], [| 1.0; 1.0 |]) |] in
   Alcotest.(check (float 0.0)) "reduced cost drops a 1e-9 dual" 0.5
     (Ff.reduced_cost [| 1.0 |] cols [| tiny; 0.5 |] 0);
   Alcotest.(check (float 0.0)) "reduced cost keeps a 2e-9 dual" (1.0 -. small -. 0.5)
-    (Ff.reduced_cost [| 1.0 |] cols [| small; 0.5 |] 0)
+    (Ff.reduced_cost [| 1.0 |] cols [| small; 0.5 |] 0);
+  let no_basis = [| false; false |] in
+  Alcotest.(check int) "pricing ignores a -1e-9 reduced cost" (-1)
+    (Ff.price_bland [| -.tiny; 0.0 |] no_basis);
+  Alcotest.(check int) "pricing takes a -2e-9 reduced cost" 1
+    (Ff.price_bland [| -.tiny; -.small |] no_basis);
+  Alcotest.(check int) "Dantzig keeps the first of two within 1e-9" 0
+    (Ff.price_dantzig [| -1.0; -1.0 -. (tiny /. 2.0) |] no_basis 2 (ref 0))
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -532,7 +774,9 @@ let props =
       prop_revised_matches_dense;
       prop_standardize_roundtrip;
       prop_kernels_float_eq_rat;
-      prop_hyper_ftran ]
+      prop_hyper_ftran;
+      prop_rho_hyper;
+      prop_dual_update ]
 
 let () =
   Alcotest.run "simplex"
