@@ -276,7 +276,8 @@ let eliminate_crossings (norm : norm) =
   let rec loop rounds skip =
     if rounds > max_rounds then norm.laminar <- false
     else begin
-      (* Find a strictly-crossing pair not in the skip set. *)
+      (* Find a strictly-crossing pair not in the skip set (pairs are
+         compared entry by entry, by physical identity). *)
       let pair =
         let rec find = function
           | [] -> None
@@ -285,7 +286,7 @@ let eliminate_crossings (norm : norm) =
                List.find_opt
                  (fun e' ->
                     e'.iv.Iv.lo > e.iv.Iv.lo && e'.iv.Iv.hi < e.iv.Iv.hi
-                    && not (List.memq (e, e') skip))
+                    && not (List.exists (fun (a, b) -> a == e && b == e') skip))
                  rest
              with
              | Some e' -> Some (e, e')

@@ -103,6 +103,26 @@ let test_emit_greedy_matches_opt () =
   | Error e -> Alcotest.failf "emit_greedy invalid: %s" e.Simulate.reason
   | Ok s -> Alcotest.(check int) "matches OPT" (Opt_single.stall_time inst) s.Simulate.stall_time
 
+(* A stuck crossing pair is skipped, not retried: on this instance the
+   redistribution LP of one nested pair has no solution, so crossing
+   elimination must move on to the other pairs and give up on laminarity
+   after a handful of LPs (one synchronized LP plus three crossing LPs),
+   not after 10,000 retries of the same pair. *)
+let test_stuck_pair_skipped () =
+  let uniform = List.find (fun f -> f.Workload.name = "uniform") Workload.families in
+  let seq = uniform.Workload.generate ~seed:2 ~n:18 ~num_blocks:6 in
+  let inst =
+    Workload.parallel_instance ~k:2 ~fetch_time:3 ~num_disks:2
+      ~layout:(fun ~num_blocks ~num_disks -> Workload.striped_layout ~num_blocks ~num_disks)
+      seq
+  in
+  let before = Simplex.stats_snapshot () in
+  let r = Rounding.solve inst in
+  let solves = (Simplex.stats_since before).Simplex.float_solves in
+  Alcotest.(check int) "LP solves" 4 solves;
+  Alcotest.(check bool) "laminar" false r.Rounding.laminar;
+  Alcotest.(check int) "stall" 0 r.Rounding.stats.Simulate.stall_time
+
 (* Property: after crossing elimination on random instances, either the
    laminar flag is false (gave up, allowed) or no strictly nested pair
    remains; and per-entry eviction mass always balances real fetch mass. *)
@@ -174,7 +194,8 @@ let () =
           Alcotest.test_case "dist monotone" `Quick test_decomposition_dist_monotone;
           Alcotest.test_case "candidate offsets" `Quick test_candidates_cover_zero;
           Alcotest.test_case "integral selection complete" `Quick test_integral_selection_complete;
-          Alcotest.test_case "emit_greedy matches OPT" `Quick test_emit_greedy_matches_opt ] );
+          Alcotest.test_case "emit_greedy matches OPT" `Quick test_emit_greedy_matches_opt;
+          Alcotest.test_case "stuck pair skipped" `Quick test_stuck_pair_skipped ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_elimination_sound; prop_entry_balance; prop_c2_preserved ] ) ]
