@@ -98,11 +98,12 @@ let tests =
           let sched = Conservative.schedule inst in
           fun () -> Peephole.optimize ~max_passes:2 inst sched));
     (* Ablations (DESIGN.md section 7b). *)
-    Test.make ~name:"ablation_lp_exact_hybrid"
-      (stage (fun () -> Simplex.solve_exact (Lazy.force lp_problem)));
-    Test.make ~name:"ablation_lp_float" (stage (fun () -> Simplex.solve_float (Lazy.force lp_problem)));
-    Test.make ~name:"ablation_lp_pure_exact"
-      (stage (fun () -> Simplex.solve_pure_exact (Lazy.force lp_problem)));
+    Test.make ~name:"ablation_revised_hybrid"
+      (stage (fun () -> Revised.solve_lp (Lazy.force lp_problem)));
+    Test.make ~name:"ablation_revised_float"
+      (stage (fun () -> Revised.Float_rev.solve (Lazy.force lp_problem)));
+    Test.make ~name:"ablation_revised_pure"
+      (stage (fun () -> Revised.solve_pure (Lazy.force lp_problem)));
     Test.make ~name:"ablation_opt_exhaustive"
       (stage
          (let inst = Workload.single_instance ~k:3 ~fetch_time:3 (Workload.uniform ~seed:1 ~n:12 ~num_blocks:6) in

@@ -1102,7 +1102,7 @@ let () =
     | Faults.Invalid_plan { field; reason } ->
       Printf.eprintf "ipc: invalid fault plan (%s): %s\n" field reason;
       1
-    | Opt.Solver_failure _ as e ->
+    | (Opt.Solver_failure _ | Revised.Solver_failure _) as e ->
       Printf.eprintf "ipc: %s\n" (Printexc.to_string e);
       1
   in

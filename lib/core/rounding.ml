@@ -235,7 +235,7 @@ let eliminate_pair (norm : norm) (inner : entry) (outer : entry) =
        P.Builder.add_row b (fs @ es) P.Eq Rat.zero)
     dests;
   let problem = P.Builder.freeze b in
-  match Simplex.solve_exact problem with
+  match Revised.solve_lp problem with
   | P.Infeasible | P.Unbounded -> raise Stuck
   | P.Optimal { values; _ } ->
     (* Apply the moves. *)

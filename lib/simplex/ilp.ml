@@ -1,11 +1,11 @@
 (* Small exact 0-1 integer programming by branch and bound over the hybrid
-   LP solvers.
+   LP solver.
 
    Used by the reproduction to compute *certified optimal integral
    synchronized schedules*: the Section-3 rounding pipeline is proved to
    match the fractional optimum, and this solver provides an independent
-   integral witness to compare against (see the `ablation_sync` experiment
-   and the rounding tests).  Minimization only; branching on the most
+   integral witness to compare against (see {!Sync_ilp} and the rounding
+   tests).  Minimization only; branching on the most
    fractional binary variable; depth-first with best-first tie-breaking on
    the relaxation bound.
 

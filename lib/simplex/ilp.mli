@@ -1,5 +1,5 @@
 (** Small exact 0-1 integer programming by branch and bound over the
-    hybrid LP solvers (minimization).
+    hybrid LP solver (minimization).
 
     Branches on the most fractional binary variable, exploring the side the
     relaxation leans towards first; prunes on the exact relaxation bound.

@@ -2,7 +2,8 @@
 
    The solver is written as a functor so the same code runs over exact
    rationals (reference, used to certify stall-time optimality claims) and
-   over floats (fast path; see the hybrid driver in {!Simplex.solve_exact}).
+   over floats (fast path; see the hybrid driver in
+   {!Revised.solve_with_basis}).
    The only subtlety is [is_zero]/sign tests: exact for rationals, but
    tolerance-based for floats.
 
@@ -14,7 +15,7 @@
    scan, and a full reduced-cost pass) and the dual update from the pivot
    row.  Functor code cannot be specialized to [float] by this toolchain
    (no flambda, and cross-module inlining is off under [-opaque]), so each
-   [F.sub]/[F.mul]/[F.compare] call and each read from an [F.t array]
+   [F.add]/[F.mul]/[F.compare] call and each read from an [F.t array]
    inside [Revised.Make] boxes a float.  The float field runs these loops
    over unboxed [float array]s instead; the rational field runs the very
    same loops over [Rat.t].  Both perform the same operations, with the
@@ -328,16 +329,12 @@ module type FIELD = sig
   val of_rat : Rat.t -> t
   val to_float : t -> float
   val add : t -> t -> t
-  val sub : t -> t -> t
   val mul : t -> t -> t
-  val div : t -> t -> t
   val neg : t -> t
   val compare : t -> t -> int
 
   val is_zero : t -> bool
   (** Whether the value should be treated as exactly zero by pivoting. *)
-
-  val pp : Format.formatter -> t -> unit
 
   (** {2 Array kernels} *)
 
@@ -444,13 +441,10 @@ module Rat_field : FIELD with type t = Rat.t = struct
   let of_rat x = x
   let to_float = Rat.to_float
   let add = Rat.add
-  let sub = Rat.sub
   let mul = Rat.mul
-  let div = Rat.div
   let neg = Rat.neg
   let compare = Rat.compare
   let is_zero = Rat.is_zero
-  let pp = Rat.pp
   let minus_one = Rat.neg Rat.one
 
   let load_tracked (ri : int array) (rv : t array) (x : t array) tr =
@@ -463,12 +457,12 @@ module Rat_field : FIELD with type t = Rat.t = struct
   let eta_tracked (f : t etas) t (x : t array) tr =
     let xr = x.(f.er.(t)) in
     if not (is_zero xr) then begin
-      let piv = div xr f.epiv.(t) in
+      let piv = Rat.div xr f.epiv.(t) in
       x.(f.er.(t)) <- piv;
       for k = f.start.(t) to f.start.(t + 1) - 1 do
         let i = f.ei.(k) in
         touch tr i;
-        x.(i) <- sub x.(i) (mul f.ev.(k) piv)
+        x.(i) <- Rat.sub x.(i) (mul f.ev.(k) piv)
       done
     end
 
@@ -476,11 +470,11 @@ module Rat_field : FIELD with type t = Rat.t = struct
     for t = 0 to f.n - 1 do
       let xr = x.(f.er.(t)) in
       if not (is_zero xr) then begin
-        let piv = div xr f.epiv.(t) in
+        let piv = Rat.div xr f.epiv.(t) in
         x.(f.er.(t)) <- piv;
         for k = f.start.(t) to f.start.(t + 1) - 1 do
           let i = f.ei.(k) in
-          x.(i) <- sub x.(i) (mul f.ev.(k) piv)
+          x.(i) <- Rat.sub x.(i) (mul f.ev.(k) piv)
         done
       end
     done
@@ -489,9 +483,9 @@ module Rat_field : FIELD with type t = Rat.t = struct
     let s = ref y.(f.er.(t)) in
     for k = f.start.(t) to f.start.(t + 1) - 1 do
       let yi = y.(f.ei.(k)) in
-      if not (is_zero yi) then s := sub !s (mul yi f.ev.(k))
+      if not (is_zero yi) then s := Rat.sub !s (mul yi f.ev.(k))
     done;
-    let v = div !s f.epiv.(t) in
+    let v = Rat.div !s f.epiv.(t) in
     y.(f.er.(t)) <- v;
     v
 
@@ -551,7 +545,7 @@ module Rat_field : FIELD with type t = Rat.t = struct
       let i = tr.nzl.(q) in
       let entry = w.(i) in
       if compare entry zero > 0 then begin
-        let ratio = div x_b.(i) entry in
+        let ratio = Rat.div x_b.(i) entry in
         let better =
           !leave < 0
           || compare ratio !best < 0
@@ -569,11 +563,11 @@ module Rat_field : FIELD with type t = Rat.t = struct
     !leave
 
   let pivot_primal (x_b : t array) (w : t array) tr r =
-    let theta = div x_b.(r) w.(r) in
+    let theta = Rat.div x_b.(r) w.(r) in
     if not (is_zero theta) then
       for q = 0 to tr.n_nz - 1 do
         let i = tr.nzl.(q) in
-        if i <> r && not (is_zero w.(i)) then x_b.(i) <- sub x_b.(i) (mul w.(i) theta)
+        if i <> r && not (is_zero w.(i)) then x_b.(i) <- Rat.sub x_b.(i) (mul w.(i) theta)
       done;
     x_b.(r) <- theta;
     theta
@@ -583,7 +577,7 @@ module Rat_field : FIELD with type t = Rat.t = struct
     let s = ref c.(j) in
     for q = 0 to Array.length ri - 1 do
       let yi = y.(ri.(q)) in
-      if not (is_zero yi) then s := sub !s (mul yi rv.(q))
+      if not (is_zero yi) then s := Rat.sub !s (mul yi rv.(q))
     done;
     !s
 
@@ -639,7 +633,7 @@ module Rat_field : FIELD with type t = Rat.t = struct
     done;
     for q = 0 to atr.n_nz - 1 do
       let j = atr.nzl.(q) in
-      d.(j) <- sub d.(j) (mul dq alpha.(j));
+      d.(j) <- Rat.sub d.(j) (mul dq alpha.(j));
       alpha.(j) <- zero;
       atr.mark.(j) <- false
     done;
@@ -660,16 +654,13 @@ module Float_field : FIELD with type t = float = struct
   let of_rat = Rat.to_float
   let to_float x = x
   let add = ( +. )
-  let sub = ( -. )
   let mul = ( *. )
-  let div = ( /. )
   let neg x = -.x
   let[@inline] compare a b = if Float.abs (a -. b) <= eps then 0 else Float.compare a b
   let is_zero x = Float.abs x <= eps
-  let pp fmt x = Format.fprintf fmt "%.12g" x
 
-  (* The kernels below spell [is_zero], [sub], [mul] and [div] out as
-     float primitives, and [compare] is inlined, so every value stays
+  (* The kernels below spell [is_zero] and the arithmetic out as float
+     primitives, and [compare] is inlined, so every value stays
      unboxed in registers and flat float arrays. *)
 
   let load_tracked (ri : int array) (rv : float array) (x : float array) tr =

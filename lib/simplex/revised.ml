@@ -1,12 +1,13 @@
-(* Sparse revised simplex with warm starts.
+(* Sparse revised simplex with warm starts: the library's one LP solver.
 
-   Same two-phase primal algorithm as {!Simplex.Make} — Dantzig pricing
-   with the Bland anti-cycling switch — but over sparse column storage
-   with a maintained product-form basis factorization (an eta file),
-   instead of dense tableau pivoting.  Each iteration costs
-   O(nnz(basis) + priced columns) rather than O(rows x cols), which is
-   what lets the synchronized parallel-disk LPs ({!Sync_lp}) scale to
-   thousands of candidate intervals and D >> 2 disks.
+   A two-phase primal simplex — Dantzig pricing with the Bland
+   anti-cycling switch — over sparse column storage with a maintained
+   product-form basis factorization (an eta file), instead of dense
+   tableau pivoting.  Each iteration costs O(nnz(basis) + priced columns)
+   rather than O(rows x cols), which is what lets the synchronized
+   parallel-disk LPs ({!Sync_lp}) scale to thousands of candidate
+   intervals and D >> 2 disks.  The tests check it against a dense exact
+   tableau kept under test/ as the reference solver.
 
    Pricing reads reduced costs kept current from pivot to pivot rather
    than recomputed.  After a pivot on row r that entered column q with
@@ -26,10 +27,11 @@
    across the 1e-9 tolerance, and its pinned 5,886-pivot path and final
    basis are unchanged.
 
-   [solve_lp] keeps the float-then-certify two-track structure of
-   {!Simplex.solve_exact}: solve over floats, re-factorize and verify the
-   final basis over exact rationals (primal + dual feasibility), and fall
-   back to the pure exact revised solver on any doubt.  [solve_with_basis]
+   [solve_lp] runs two tracks: solve over floats, re-factorize and verify
+   the final basis over exact rationals (primal + dual feasibility), and
+   fall back to the pure exact revised solver on any doubt.  Bland's rule
+   makes the exact track terminate, so reaching its iteration cap is a
+   solver bug and raises [Solver_failure].  [solve_with_basis]
    additionally accepts and returns bases, so branch-and-bound
    ({!Ilp.solve}) can warm-start every child node from its parent's
    optimal basis instead of re-solving from scratch. *)
@@ -649,8 +651,7 @@ let solve_pure (p : Lp_problem.t) : Lp_problem.result =
   fst (result_of_rat_outcome (Rat_rev.solve p))
 
 (* Exact certification of a float basis: verify over rationals, then
-   re-check against the original problem (belt and braces, same as the
-   dense hybrid). *)
+   re-check against the original problem (belt and braces). *)
 let certify (p : Lp_problem.t) (std : sparse_standard) (basis : int array) :
     Lp_problem.result option =
   match Rat_rev.check_basis std basis with
@@ -661,6 +662,18 @@ let certify (p : Lp_problem.t) (std : sparse_standard) (basis : int array) :
      | Ok () ->
        let objective_value = Lp_problem.objective_value p values in
        Some (Lp_problem.Optimal { objective_value; values }))
+
+exception Solver_failure of { rows : int; cols : int }
+
+let () =
+  Printexc.register_printer (function
+    | Solver_failure { rows; cols } ->
+      Some
+        (Printf.sprintf
+           "Revised.solve_with_basis: the exact simplex hit its iteration cap (%d rows, %d \
+            columns; a solver bug: Bland's rule terminates)"
+           rows cols)
+    | _ -> None)
 
 (* Registry handles; mutations are gated on [Telemetry.enabled]. *)
 let m_solves = Telemetry.counter "revised.solves"
@@ -673,11 +686,10 @@ let m_refactorizations = Telemetry.counter "revised.refactorizations"
 let m_warm_accepts = Telemetry.counter "revised.warm_accepts"
 let m_warm_rejects = Telemetry.counter "revised.warm_rejects"
 
-(* Hybrid exact driver, mirroring [Simplex.solve_exact]: float revised
-   simplex for speed, exact sparse certification, exact revised solver as
-   the fallback (warm-started from the float basis when one exists).
-   Returns the optimal basis so callers (branch and bound) can warm-start
-   related solves. *)
+(* Hybrid exact driver: float revised simplex for speed, exact sparse
+   certification, exact revised solver as the fallback (warm-started from
+   the float basis when one exists).  Returns the optimal basis so callers
+   (branch and bound) can warm-start related solves. *)
 let solve_with_basis ?warm (p : Lp_problem.t) : solution =
   let st = stats in
   let pivots0 = st.Simplex.pivots in
@@ -695,9 +707,8 @@ let solve_with_basis ?warm (p : Lp_problem.t) : solution =
     fell_back := true;
     match Rat_rev.solve_std ?warm:warm' std with
     | exception Rat_rev.Iteration_limit ->
-      (* Never observed (Bland guarantees termination); the dense exact
-         reference solver is the last resort. *)
-      (Simplex.solve_pure_exact p, None)
+      (* Never observed: Bland's rule guarantees termination. *)
+      raise (Solver_failure { rows = std.s_nrows; cols = std.s_ncols })
     | o -> result_of_rat_outcome o
   in
   let result, basis =
@@ -725,5 +736,4 @@ let solve_with_basis ?warm (p : Lp_problem.t) : solution =
   end;
   { result; basis }
 
-(* Drop-in replacement for [Simplex.solve_exact] over the sparse path. *)
 let solve_lp (p : Lp_problem.t) : Lp_problem.result = (solve_with_basis p).result

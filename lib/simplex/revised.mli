@@ -1,12 +1,13 @@
-(** Sparse revised simplex with warm starts.
+(** Sparse revised simplex with warm starts: the library's one LP solver.
 
-    Same two-phase primal algorithm as {!Simplex.Make} (Dantzig pricing
-    with the Bland anti-cycling switch) over sparse column storage and a
-    maintained product-form basis factorization, so each iteration costs
-    O(nnz) instead of O(rows x cols).  {!solve_lp} keeps the
-    float-then-certify structure of {!Simplex.solve_exact};
-    {!solve_with_basis} additionally threads bases in and out so
-    {!Ilp.solve} can warm-start child nodes from the parent optimum. *)
+    A two-phase primal simplex (Dantzig pricing with the Bland
+    anti-cycling switch) over sparse column storage and a maintained
+    product-form basis factorization, so each iteration costs O(nnz)
+    instead of O(rows x cols).  {!solve_lp} solves in floats and
+    certifies the float basis over exact rationals, falling back to exact
+    pivoting on any doubt; {!solve_with_basis} additionally threads bases
+    in and out so {!Ilp.solve} can warm-start child nodes from the parent
+    optimum.  Statistics go to {!Simplex.stats}. *)
 
 type sparse_col = {
   cri : int array;  (** row indices, ascending *)
@@ -79,12 +80,19 @@ val certify : Lp_problem.t -> sparse_standard -> int array -> Lp_problem.result 
 (** Exact certification of a (float) basis against the sparse standard
     form plus a final feasibility re-check on the original problem. *)
 
+exception Solver_failure of { rows : int; cols : int }
+(** The exact track exceeded its iteration cap on a standard form of
+    [rows] rows and [cols] structural and slack columns.  Bland's rule
+    rules this out, so it signals a bug in the solver, not a property of
+    the LP; a printer is registered. *)
+
 val solve_with_basis : ?warm:int array -> Lp_problem.t -> solution
 (** Hybrid driver: float revised solve, exact sparse certification, exact
     revised fallback (warm-started from the float basis).  Statistics go
     to {!Simplex.stats}; [revised.*] telemetry counters record per-solve
-    deltas when metrics are enabled. *)
+    deltas when metrics are enabled.
+    @raise Solver_failure if the exact fallback does not terminate. *)
 
 val solve_lp : Lp_problem.t -> Lp_problem.result
-(** [fun p -> (solve_with_basis p).result] — drop-in replacement for
-    {!Simplex.solve_exact} on the sparse path. *)
+(** [fun p -> (solve_with_basis p).result].
+    @raise Solver_failure as {!solve_with_basis}. *)

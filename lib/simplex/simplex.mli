@@ -1,79 +1,28 @@
-(** Two-phase primal simplex, as a functor over the pivot field, plus the
-    hybrid exact driver used throughout the reproduction.
+(** The LP solver's statistics counters.
 
-    [Make (Lp_field.Rat_field)] is fully exact (Bland's rule guarantees
-    termination); [Make (Lp_field.Float_field)] is the fast path.
-    {!solve_exact} combines them: solve in floats, certify the final basis
-    over exact rationals with {!Rat_linalg} (primal and dual feasibility),
-    and fall back to the pure exact solver on any doubt - so every LP
-    value the experiments report is exact. *)
-
-(** Standard form shared by the solvers: minimize [c.x] s.t. [A x = b],
-    [x >= 0], [b >= 0], columns [0, nstruct) structural. *)
-type standard = {
-  nrows : int;
-  nstruct : int;
-  ncols : int;
-  matrix : Rat.t array array;
-  srhs : Rat.t array;
-  scost : Rat.t array;
-  slack_basis : int array;  (** per row: ready-made basic column or -1 *)
-  flip_objective : bool;
-}
-
-val standardize : Lp_problem.t -> standard
-
-module Make (F : Lp_field.FIELD) : sig
-  type outcome =
-    | Solved of {
-        values : F.t array;  (** structural variables *)
-        objective : F.t;  (** in the original direction *)
-        basis : int array;  (** standard-form column per row *)
-        nstruct : int;
-      }
-    | Infeasible
-    | Unbounded
-
-  exception Iteration_limit
-
-  val solve : Lp_problem.t -> outcome
-  (** @raise Iteration_limit if the safeguard cap is exceeded (never
-      observed; would indicate a cycling bug). *)
-end
-
-module Float_solver : module type of Make (Lp_field.Float_field)
-module Rat_solver : module type of Make (Lp_field.Rat_field)
-
-val solve_pure_exact : Lp_problem.t -> Lp_problem.result
-(** Pure rational simplex - the reference solver. *)
-
-val solve_float : Lp_problem.t -> Lp_problem.result
-(** Float simplex with coarse rational snapping of the results.
-    Approximate; for the ablation study only. *)
-
-val certify_basis : Lp_problem.t -> int array -> Lp_problem.result option
-(** Exact certification of a basis: [Some result] iff the basis is
-    non-singular, primal feasible and dual feasible over the rationals. *)
+    {!Revised} is the only LP solver; it writes these counters.  They stay
+    here, process-global, because the benchmark harness
+    ([perfbench/bench.ml]) reads them through {!stats_snapshot} and
+    {!stats_since}; a per-solve record returned by the solver would
+    replace them. *)
 
 type stats = {
-  mutable float_solves : int;
-  mutable certified : int;
-  mutable fallbacks : int;
+  mutable float_solves : int;  (** hybrid solves started *)
+  mutable certified : int;  (** float optima certified exactly *)
+  mutable fallbacks : int;  (** solves that fell back to exact pivoting *)
   mutable pivots : int;  (** total pivots, both fields, both phases *)
   mutable degenerate_pivots : int;  (** pivots with no objective change *)
   mutable bland_switches : int;
       (** Dantzig [->] Bland anti-stalling transitions *)
-  mutable refactorizations : int;
-      (** revised-simplex basis refactorizations ({!Revised}) *)
+  mutable refactorizations : int;  (** basis refactorizations *)
   mutable warm_accepts : int;  (** warm-start bases installed successfully *)
   mutable warm_rejects : int;  (** warm-start bases rejected (cold restart) *)
 }
 
 val stats : stats
-(** Global counters for the solvers, shared with {!Revised} (reported by
-    benches, and forwarded to the telemetry registry as [simplex.*] /
-    [revised.*] metrics by the hybrid drivers when metrics are enabled).
-    The counters accumulate for the whole process: per-run reporting must
+(** Global counters, written by {!Revised} and forwarded to the telemetry
+    registry as [revised.*] metrics when metrics are enabled.  The
+    counters accumulate for the whole process: per-run reporting must
     subtract a {!stats_snapshot} taken before the run ({!stats_since}),
     or {!stats_reset} first. *)
 
@@ -86,6 +35,3 @@ val stats_reset : unit -> unit
 val stats_since : stats -> stats
 (** [stats_since snap] is the per-field difference between the current
     counters and the snapshot [snap]. *)
-
-val solve_exact : Lp_problem.t -> Lp_problem.result
-(** The hybrid driver: float solve, exact certification, exact fallback. *)

@@ -79,7 +79,7 @@ let test_ilp_warm_vs_dense () =
   let s0 = Simplex.stats_snapshot () in
   let warm = Ilp.solve p in
   let d = Simplex.stats_since s0 in
-  let dense = Ilp.solve ~solver:Simplex.solve_exact p in
+  let dense = Ilp.solve ~solver:Dense_lp.solve p in
   (match (warm.Ilp.result, dense.Ilp.result) with
    | P.Optimal { objective_value = v1; _ }, P.Optimal { objective_value = v2; _ } ->
      Alcotest.check rt "same optimum" v2 v1
@@ -97,7 +97,7 @@ let prop_ilp_warm_matches_dense =
     (fun (values, weights, cap) ->
        let p = knapsack values weights cap in
        let warm = Ilp.solve p in
-       let dense = Ilp.solve ~solver:Simplex.solve_exact p in
+       let dense = Ilp.solve ~solver:Dense_lp.solve p in
        match (warm.Ilp.result, dense.Ilp.result) with
        | P.Optimal { objective_value = v1; _ }, P.Optimal { objective_value = v2; _ } ->
          R.equal v1 v2

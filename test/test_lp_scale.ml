@@ -1,8 +1,8 @@
-(* PR-9 acceptance pin: the pruned synchronized LP plus the sparse
-   revised solver must push the full Sync_lp -> Rounding pipeline to
-   >= 1000 candidate intervals on >= 4 disks inside the CI budget, and
-   the sparse solver must agree with the retained dense solver on the
-   exact Sync_lp tableaux it replaced it on. *)
+(* Acceptance pin: the pruned synchronized LP plus the sparse revised
+   solver must push the full Sync_lp -> Rounding pipeline to >= 1000
+   candidate intervals on >= 4 disks inside the CI budget, and the sparse
+   solver must agree with the dense exact reference (dense_lp.ml) on real
+   Sync_lp tableaux. *)
 
 module R = Rat
 
@@ -75,18 +75,13 @@ let test_float_track_path () =
   Alcotest.(check int) "float pivots" pinned_pivots pivots
 
 (* Sparse-vs-dense on real Sync_lp tableaux small enough for the dense
-   O(rows x cols) solver: byte-equal objectives, over family x seed x D
-   at the three instance shapes (n, blocks, k, F) the dense solver was
-   first checked at.  Their 300-500 rows carry the multi-eta fill chains
-   the factorization's hypersparse FTRAN must order correctly, which the
-   random LPs of test_simplex (at most 7 rows) cannot build. *)
+   exact O(rows x cols) reference: byte-equal objectives, over family x
+   seed x D at three instance shapes (n, blocks, k, F).  Their 300-500
+   rows carry the multi-eta fill chains the factorization's hypersparse
+   FTRAN must order correctly, which the random LPs of test_simplex (at
+   most 7 rows) cannot build.  Every draw is an exact rational solve, a
+   few tenths of a second each. *)
 let shapes = [ (24, 6, 4, 3); (20, 8, 3, 2); (18, 6, 2, 3) ]
-
-(* Points of this domain where the dense float simplex stalls for
-   minutes before its exact fallback answers (a defect of the dense
-   solver, listed in ROADMAP.md); the sparse solver takes milliseconds
-   on them.  Drop an entry once the dense solver handles it. *)
-let dense_stalls = [ ("uniform", 7, 3, (18, 6, 2, 3)); ("scan+hot", 1, 4, (18, 6, 2, 3)) ]
 
 let gen_sync_case =
   QCheck2.Gen.(
@@ -102,8 +97,7 @@ let print_sync_case (fam, seed, d, (n, blocks, k, f)) =
 let prop_sync_sparse_vs_dense =
   QCheck2.Test.make ~count:80 ~name:"sparse = dense on Sync_lp corpus" ~print:print_sync_case
     gen_sync_case
-    (fun ((fam, seed, d, (n, blocks, k, f)) as case) ->
-       QCheck2.assume (not (List.mem case dense_stalls));
+    (fun (fam, seed, d, (n, blocks, k, f)) ->
        let fam = List.find (fun w -> w.Workload.name = fam) Workload.families in
        let seq = fam.Workload.generate ~seed ~n ~num_blocks:blocks in
        let inst =
@@ -113,7 +107,7 @@ let prop_sync_sparse_vs_dense =
            seq
        in
        let p = (Sync_lp.build inst).Sync_lp.problem in
-       match (Simplex.solve_exact p, Revised.solve_lp p) with
+       match (Dense_lp.solve p, Revised.solve_lp p) with
        | ( Lp_problem.Optimal { objective_value = v1; _ },
            Lp_problem.Optimal { objective_value = v2; values } ) ->
          R.equal v1 v2 && Result.is_ok (Lp_problem.check_feasible p values)

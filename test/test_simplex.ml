@@ -1,5 +1,8 @@
-(* Tests for the LP substrate: problem construction, the exact simplex, the
-   float simplex, and the hybrid certified driver. *)
+(* Tests for the LP substrate: problem construction and the revised
+   simplex ({!Revised}: its float track, its pure exact track and the
+   hybrid certified driver), each checked against the dense exact tableau
+   of dense_lp.ml, the reference solver; plus the field kernels the
+   revised simplex runs its loops through. *)
 
 module P = Lp_problem
 module R = Rat
@@ -29,8 +32,7 @@ let get_optimal = function
   | P.Unbounded -> Alcotest.fail "unexpected: unbounded"
 
 let solvers =
-  [ ("exact", Simplex.solve_pure_exact);
-    ("hybrid", Simplex.solve_exact);
+  [ ("dense", Dense_lp.solve);
     ("revised", Revised.solve_lp);
     ("revised-pure", Revised.solve_pure) ]
 
@@ -120,8 +122,7 @@ let test_beale_cycling () =
     P.Le R.zero;
   P.Builder.add_row b [ (x3, R.one) ] P.Le R.one;
   let p = P.Builder.freeze b in
-  let obj, _ = get_optimal (Simplex.solve_pure_exact p) in
-  Alcotest.check rt "beale optimum" (r (-1) 20) obj
+  check_all_solvers "beale" p (r (-1) 20) None
 
 (* Fractional vertex: min -(x+y) s.t. 2x + y <= 3, x + 2y <= 3 ->
    vertex (1,1); and with <= 2 rhs -> (2/3, 2/3). *)
@@ -164,9 +165,7 @@ let test_duplicate_coeffs_merged () =
   P.Builder.set_objective b [ (x, R.one) ];
   P.Builder.add_row b [ (x, R.one); (x, R.one) ] P.Ge (R.of_int 4);
   let p = P.Builder.freeze b in
-  let obj, values = get_optimal (Simplex.solve_pure_exact p) in
-  Alcotest.check rt "merged row obj" (R.of_int 2) obj;
-  Alcotest.check rt "merged row x" (R.of_int 2) values.(0)
+  check_all_solvers "merged row" p (R.of_int 2) (Some [ R.of_int 2 ])
 
 let test_check_feasible () =
   let p =
@@ -220,8 +219,8 @@ let test_stats_snapshot_reset () =
   Alcotest.(check int) "reset warm accepts" 0 Simplex.stats.Simplex.warm_accepts
 
 (* ------------------------------------------------------------------ *)
-(* Property tests: random small LPs; hybrid and pure-exact must agree
-   exactly, and optimal solutions must be feasible. *)
+(* Property tests: random small LPs; the revised solver must agree with
+   the dense reference exactly, and optimal solutions must be feasible. *)
 
 let gen_lp =
   QCheck2.Gen.(
@@ -251,21 +250,11 @@ let build_lp (nvars, obj, rows) =
   P.Builder.add_row b (List.map (fun v -> (v, R.one)) vars) P.Le (R.of_int 50);
   P.Builder.freeze b
 
-let prop_exact_hybrid_agree =
-  QCheck2.Test.make ~count:300 ~name:"hybrid agrees with pure exact" gen_lp
-    (fun spec ->
-       let p = build_lp spec in
-       match (Simplex.solve_pure_exact p, Simplex.solve_exact p) with
-       | P.Optimal o1, P.Optimal o2 -> R.equal o1.objective_value o2.objective_value
-       | P.Infeasible, P.Infeasible -> true
-       | P.Unbounded, P.Unbounded -> true
-       | _ -> false)
-
 let prop_optimal_feasible =
   QCheck2.Test.make ~count:300 ~name:"optimal solutions are feasible" gen_lp
     (fun spec ->
        let p = build_lp spec in
-       match Simplex.solve_exact p with
+       match Revised.solve_lp p with
        | P.Optimal { objective_value; values } ->
          Result.is_ok (P.check_feasible p values)
          && R.equal objective_value (P.objective_value p values)
@@ -275,16 +264,16 @@ let prop_float_close =
   QCheck2.Test.make ~count:200 ~name:"float solver close to exact" gen_lp
     (fun spec ->
        let p = build_lp spec in
-       match (Simplex.solve_pure_exact p, Simplex.solve_float p) with
-       | P.Optimal o1, P.Optimal o2 ->
-         Float.abs (R.to_float o1.objective_value -. R.to_float o2.objective_value) < 1e-4
-       | P.Infeasible, P.Infeasible -> true
+       match (Dense_lp.solve p, Revised.Float_rev.solve p) with
+       | P.Optimal o1, Revised.Float_rev.Solved { objective; _ } ->
+         Float.abs (R.to_float o1.objective_value -. objective) < 1e-4
+       | P.Infeasible, Revised.Float_rev.Infeasible -> true
        | _, _ -> true (* float may legitimately misclassify edge cases *))
 
-(* Differential suite for the tentpole: the sparse revised solver (both
-   the hybrid float-then-certify driver and the pure exact variant) must
-   agree with the retained dense solver byte-for-byte on objectives, and
-   its optima must be basis-feasible for the original problem. *)
+(* Differential suite: the sparse revised solver (both the hybrid
+   float-then-certify driver and the pure exact variant) must agree with
+   the dense reference byte-for-byte on objectives, and its optima must be
+   basis-feasible for the original problem. *)
 let prop_revised_matches_dense =
   QCheck2.Test.make ~count:300 ~name:"revised (hybrid + pure) = dense exact" gen_lp
     (fun spec ->
@@ -300,10 +289,10 @@ let prop_revised_matches_dense =
          | P.Unbounded, P.Unbounded -> true
          | _ -> false
        in
-       let dense = Simplex.solve_pure_exact p in
+       let dense = Dense_lp.solve p in
        agree dense (Revised.solve_lp p) && agree dense (Revised.solve_pure p))
 
-(* Standardize audit (satellite): raw problems built without the Builder,
+(* Standardize audit: raw problems built without the Builder,
    so rows may carry duplicate variable keys, negative right-hand sides
    (exercising the sign-flip row rewrite for every relation, Eq included)
    and surplus columns for Ge rows.  Both standardizers must induce the
@@ -342,7 +331,7 @@ let prop_standardize_roundtrip =
   QCheck2.Test.make ~count:300 ~name:"standardize round-trip on raw duplicate-key rows"
     gen_raw_lp
     (fun p ->
-       match (Simplex.solve_pure_exact p, Revised.solve_pure p) with
+       match (Dense_lp.solve p, Revised.solve_pure p) with
        | ( P.Optimal { objective_value = v1; values = x1 },
            P.Optimal { objective_value = v2; values = x2 } ) ->
          R.equal v1 v2
@@ -768,8 +757,7 @@ let test_float_kernels_tolerance () =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_exact_hybrid_agree;
-      prop_optimal_feasible;
+    [ prop_optimal_feasible;
       prop_float_close;
       prop_revised_matches_dense;
       prop_standardize_roundtrip;
