@@ -56,7 +56,7 @@ let tests =
     Test.make ~name:"reverse_aggressive"
       (stage (fun () -> Reverse_aggressive.schedule (Lazy.force single_workload)));
     (* Exact optima. *)
-    Test.make ~name:"opt_single_dp" (stage (fun () -> Opt_single.solve (Lazy.force opt_workload)));
+    Test.make ~name:"opt_single_dp" (stage (fun () -> Opt.solve_single (Lazy.force opt_workload)));
     Test.make ~name:"parallel_greedy"
       (stage (fun () -> Parallel_greedy.aggressive_schedule (Lazy.force parallel_workload)));
     Test.make ~name:"lp_pipeline_d2" (stage (fun () -> Rounding.solve (Lazy.force parallel_workload)));
@@ -107,7 +107,7 @@ let tests =
     Test.make ~name:"ablation_opt_exhaustive"
       (stage
          (let inst = Workload.single_instance ~k:3 ~fetch_time:3 (Workload.uniform ~seed:1 ~n:12 ~num_blocks:6) in
-          fun () -> Opt_exhaustive.solve_stall inst)) ]
+          fun () -> Opt.solve_single ~free_evict:true inst)) ]
 
 (* Entries whose BENCH_3 fits were noisy (r^2 ~ 0.66-0.75): sub-20us
    bodies need a larger measurement quota and more samples than the
@@ -148,7 +148,7 @@ let noisy_tests =
     Test.make ~name:"ablation_opt_restricted_dp"
       (stage
          (let inst = Workload.single_instance ~k:3 ~fetch_time:3 (Workload.uniform ~seed:1 ~n:12 ~num_blocks:6) in
-          fun () -> Opt_single.solve inst)) ]
+          fun () -> Opt.solve_single inst)) ]
 
 (* Scaling sweeps: the same algorithm at growing n (and the DP at growing
    k), to expose asymptotic behaviour in the report. *)
@@ -172,7 +172,7 @@ let scaling_tests =
            (Workload.zipf ~seed:7 ~alpha:0.9 ~n:60 ~num_blocks:11)
        in
        Test.make ~name:(Printf.sprintf "scale_opt_dp_k%d" k)
-         (stage (fun () -> Opt_single.solve inst)))
+         (stage (fun () -> Opt.solve_single inst)))
     [ 3; 5; 7 ]
 
 (* The scale tier: driver-based schedulers on 10^5-10^6-request Zipf

@@ -125,7 +125,10 @@ let schedule_of alg inst =
   | `Agg -> Aggressive.schedule inst
   | `Cons -> Conservative.schedule inst
   | `Comb -> Combination.schedule inst
-  | `Opt -> (Opt_single.solve inst).Opt_single.schedule
+  | `Opt -> (
+    match (Opt.solve_single inst).Opt.schedule with
+    | Some s -> s
+    | None -> Simulate.internal_error ~component:"ipc" "single-disk optimum without a witness")
 
 (* simulate *)
 let simulate_cmd =
@@ -188,7 +191,7 @@ let compare_cmd =
   let run metrics wname seed n blocks k f =
     with_metrics metrics @@ fun () ->
     let inst = mk_instance wname ~seed ~n ~blocks ~k ~f in
-    let opt = Opt_single.stall_time inst in
+    let opt = (Opt.solve_single inst).Opt.stall in
     let rows =
       List.map
         (fun (alg : Measure.algorithm) ->
@@ -747,14 +750,11 @@ let opt_cmd =
     in
     Format.printf "%a@." Instance.pp inst;
     match Opt.solve ?node_budget inst with
-    | Error (Opt.Budget_exhausted { budget; expanded }) ->
+    | exception Opt.Solver_failure { failure = Opt.Budget_exhausted { budget; expanded }; _ } ->
       Printf.printf "node budget exhausted: %d nodes expanded (budget %d), optimum unproven\n"
         expanded budget;
       exit 1
-    | Error Opt.Infeasible ->
-      Printf.printf "no feasible schedule in the search space\n";
-      exit 1
-    | Ok o ->
+    | o ->
       Printf.printf "optimal stall: %d (elapsed %d)\n" o.Opt.stall (n + o.Opt.stall);
       if stats then begin
         let s = o.Opt.stats in

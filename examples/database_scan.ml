@@ -21,7 +21,7 @@ let () =
   Printf.printf "demand paging (MIN replacements, no prefetch): %d misses, elapsed %d\n"
     min.Paging.misses demand_elapsed;
 
-  let opt = Opt_single.elapsed_time inst in
+  let opt = Instance.length inst + (Opt.solve_single inst).Opt.stall in
   let report name elapsed =
     Printf.printf "%-22s elapsed %4d  (%.3fx OPT, %.1f%% of demand-paging stall eliminated)\n" name
       elapsed

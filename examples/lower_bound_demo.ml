@@ -18,19 +18,20 @@ let () =
 
   let agg_sched = Aggressive.schedule inst in
   let agg = Aggressive.stats inst in
-  let opt = Opt_single.solve inst in
+  let opt = Opt.solve_single inst in
   Printf.printf "Aggressive: stall=%d elapsed=%d (the bait works: it refetches a1 every phase)\n"
     agg.Simulate.stall_time agg.Simulate.elapsed_time;
-  Printf.printf "OPT:        stall=%d elapsed=%d\n\n" opt.Opt_single.stall
-    (Instance.length inst + opt.Opt_single.stall);
+  Printf.printf "OPT:        stall=%d elapsed=%d\n\n" opt.Opt.stall
+    (Instance.length inst + opt.Opt.stall);
 
   Printf.printf "Aggressive timeline:\n";
   Gantt.print inst agg_sched;
   Printf.printf "\nOPT timeline:\n";
-  Gantt.print inst opt.Opt_single.schedule;
+  (* Single-disk solves always carry a witness. *)
+  Gantt.print inst (Option.get opt.Opt.schedule);
 
   let ratio = float_of_int agg.Simulate.elapsed_time
-              /. float_of_int (Instance.length inst + opt.Opt_single.stall) in
+              /. float_of_int (Instance.length inst + opt.Opt.stall) in
   Printf.printf "\nmeasured ratio %.3f vs per-phase formula %.3f, thm2 limit %.3f, thm1 bound %.3f\n"
     ratio
     (Bounds.theorem2_phase_ratio ~k ~f)

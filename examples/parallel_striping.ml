@@ -23,7 +23,7 @@ let () =
      Format.printf "the paper's hand schedule: %a@." Simulate.pp_stats s;
      List.iter (fun e -> Format.printf "  %a@." Simulate.pp_event e) s.Simulate.events
    | Error e -> Format.printf "rejected: %s@." e.Simulate.reason);
-  Printf.printf "exhaustive optimum (no extra cache): stall %d\n" (Opt_parallel.solve_stall inst);
+  Printf.printf "exhaustive optimum (no extra cache): stall %d\n" (Opt.solve_parallel inst).Opt.stall;
   let r = Rounding.solve inst in
   Printf.printf "LP pipeline: stall %d using %d extra slots (allowed %d)\n\n"
     r.Rounding.stats.Simulate.stall_time

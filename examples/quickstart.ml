@@ -37,10 +37,12 @@ let () =
   report "combination" (Combination.stall_time inst);
 
   (* 3. The exact optimum, with its witness schedule. *)
-  let opt = Opt_single.solve inst in
-  Format.printf "@.optimal schedule (stall %d, the paper's second option):@." opt.Opt_single.stall;
-  List.iter (fun op -> Format.printf "    %a@." Fetch_op.pp op) opt.Opt_single.schedule;
-  (match Simulate.run ~record_events:true inst opt.Opt_single.schedule with
+  let opt = Opt.solve_single inst in
+  (* Single-disk solves always carry a witness. *)
+  let opt_schedule = Option.get opt.Opt.schedule in
+  Format.printf "@.optimal schedule (stall %d, the paper's second option):@." opt.Opt.stall;
+  List.iter (fun op -> Format.printf "    %a@." Fetch_op.pp op) opt_schedule;
+  (match Simulate.run ~record_events:true inst opt_schedule with
    | Ok s -> List.iter (fun e -> Format.printf "    %a@." Simulate.pp_event e) s.Simulate.events
    | Error e -> Format.printf "rejected: %s@." e.Simulate.reason);
 

@@ -38,11 +38,9 @@ let opt_agreement =
           ( Opt.solve_single ~node_budget:budget inst,
             Opt.solve_single ~node_budget:budget ~free_evict:true inst )
         with
-        | Error (Opt.Budget_exhausted _), _ | _, Error (Opt.Budget_exhausted _) ->
+        | exception Opt.Solver_failure { failure = Opt.Budget_exhausted _; _ } ->
           Skip "node budget exhausted"
-        | Error Opt.Infeasible, _ | _, Error Opt.Infeasible ->
-          failf "exact solver reported an infeasible search space"
-        | Ok dp, Ok ex ->
+        | dp, ex ->
           if dp.Opt.stall <> ex.Opt.stall then
             failf
               "greedy-content DP optimum (%d) disagrees with assumption-free \
@@ -103,13 +101,13 @@ let peephole_monotone =
                      "peephole increased %s stall from %d to %d" alg_name before
                      after)
               else if
-                Instance.num_blocks inst <= Opt_single.max_blocks
-                && after < Opt_single.stall_time inst
+                Instance.num_blocks inst <= Opt.max_blocks
+                && after < (Opt.solve_single inst).Opt.stall
               then
                 Some
                   (failf ~schedule:optimized
                      "peephole beat the exact optimum on %s (%d < %d)" alg_name
-                     after (Opt_single.stall_time inst))
+                     after (Opt.solve_single inst).Opt.stall)
               else None)
         in
         let cands =

@@ -5,7 +5,7 @@
 
     - {b Tiny}: small enough for the assumption-free exhaustive optimum
       and the synchronized LP, enabling the full differential battery.
-    - {b Single}: one disk, sized for the DP optimum ([Opt_single]), the
+    - {b Single}: one disk, sized for the DP optimum ([Opt.solve_single]), the
       regime of Theorems 1-3; occasionally draws the paper's Theorem-2
       lower-bound construction itself.
     - {b Parallel}: 2-4 disks under striped / partitioned / random /

@@ -38,7 +38,7 @@ type rule = {
   schedule : Instance.t -> Fetch_op.schedule;  (** production, on {!Driver.run} *)
   seed : Instance.t -> Driver.t -> unit;  (** a fresh decide callback for {!run} *)
   reach : Instance.t -> int;  (** the rule's delay distance, 0 without one *)
-  plans_min : bool;  (** plans through {!Paging.min_offline_fast} *)
+  plans_min : bool;  (** plans through {!Paging.min_offline} *)
 }
 
 (** The batch schedulers.  [delay] and [online] run {!delay_rule} and
@@ -57,9 +57,14 @@ val online : Online.config -> rule
 val aggressive_d : rule
 val conservative_d : rule
 
+val min_scan : Instance.t -> Paging.result
+(** Belady's MIN by a scan over the cache at every miss (ties to the
+    smaller id): the oracle for {!Paging.min_offline}'s eviction heap.
+    It reports no telemetry. *)
+
 val check : Instance.t -> rule list -> Ck_oracle.outcome
 (** [Pass] when, for every rule, the production schedule is
     byte-identical to the seed loop's, every cross-check agrees, and
-    (with [plans_min]) [Paging.min_offline_fast inst = Paging.min_offline
-    inst].  Otherwise [Fail] for the first rule that disagrees, carrying
-    its production schedule. *)
+    (with [plans_min]) [Paging.min_offline inst = min_scan inst].
+    Otherwise [Fail] for the first rule that disagrees, carrying its
+    production schedule. *)

@@ -8,10 +8,12 @@ let eps = 1e-9
 let single_opt_applicable inst =
   if inst.Instance.num_disks <> 1 then
     Error "parallel instance (Theorems 1-3 are single-disk)"
-  else if Instance.num_blocks inst > Opt_single.max_blocks then
+  else if Instance.num_blocks inst > Opt.max_blocks then
     Error "too many distinct blocks for the DP optimum"
   else if Instance.length inst > 80 then Error "too long for the DP optimum"
   else Ok ()
+
+let opt_elapsed inst = Instance.length inst + (Opt.solve_single inst).Opt.stall
 
 let run_elapsed ~alg_name inst sched k =
   match Simulate.run inst sched with
@@ -42,7 +44,7 @@ let theorem1 ?impl () =
       | Ok () ->
         let sched = sched_of inst in
         run_elapsed ~alg_name inst sched (fun elapsed ->
-            let opt = Opt_single.elapsed_time inst in
+            let opt = opt_elapsed inst in
             let budget = theorem1_budget inst ~opt in
             if elapsed > budget then
               failf ~schedule:sched
@@ -58,7 +60,7 @@ let theorem3_delay =
       | Ok () ->
         let f = inst.Instance.fetch_time in
         let d0 = Bounds.delay_opt_d ~f in
-        let opt = Opt_single.elapsed_time inst in
+        let opt = opt_elapsed inst in
         let ds = List.sort_uniq compare [ 0; 1; d0; d0 + 2 ] in
         let rec go = function
           | [] -> Pass
@@ -88,7 +90,7 @@ let corollary2_combination =
         let f = inst.Instance.fetch_time in
         let sched = Combination.schedule inst in
         run_elapsed ~alg_name:"combination" inst sched (fun elapsed ->
-            let opt = Opt_single.elapsed_time inst in
+            let opt = opt_elapsed inst in
             match Combination.choose ~k ~f with
             | Combination.Use_aggressive ->
               let budget = theorem1_budget inst ~opt in
@@ -117,7 +119,7 @@ let conservative_2approx =
       | Ok () ->
         let sched = Conservative.schedule inst in
         run_elapsed ~alg_name:"conservative" inst sched (fun elapsed ->
-            let opt = Opt_single.elapsed_time inst in
+            let opt = opt_elapsed inst in
             if elapsed > 2 * opt then
               failf ~schedule:sched
                 "conservative elapsed %d exceeds 2*opt = %d" elapsed (2 * opt)
@@ -140,12 +142,8 @@ let theorem4_lp_sandwich =
             Opt.solve_parallel ?extra_slots
               ~node_budget:differential_node_budget inst
           with
-          | Ok o -> Some o.Opt.stall
-          | Error (Opt.Budget_exhausted _) -> None
-          | Error Opt.Infeasible ->
-            raise
-              (Opt.Solver_failure
-                 { solver = "theorem4/opt_parallel"; failure = Opt.Infeasible })
+          | o -> Some o.Opt.stall
+          | exception Opt.Solver_failure { failure = Opt.Budget_exhausted _; _ } -> None
         in
         match Sync_lp.lower_bound inst with
         | exception Sync_lp.Lp_infeasible ->

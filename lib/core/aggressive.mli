@@ -20,7 +20,7 @@ val schedule : Instance.t -> Fetch_op.schedule
 
 val stats : Instance.t -> Simulate.stats
 (** Executor-validated statistics of {!schedule}.
-    @raise Failure if the schedule is rejected by the executor (a bug). *)
+    @raise Driver.Invalid_schedule if the executor rejects the schedule (a bug). *)
 
 val elapsed_time : Instance.t -> int
 val stall_time : Instance.t -> int

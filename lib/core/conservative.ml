@@ -20,7 +20,7 @@ type pending = {
 let plan (inst : Instance.t) : pending list =
   (* The whole cost of Conservative is the MIN precomputation; the decide
      loop just pops a queue. *)
-  let min_result = Paging.min_offline_fast inst in
+  let min_result = Paging.min_offline inst in
   let nr = Next_ref.of_instance inst in
   List.map
     (fun (r : Paging.replacement) ->

@@ -25,7 +25,7 @@ val schedule : d:int -> Instance.t -> Fetch_op.schedule
 (** @raise Invalid_argument if [d < 0]. *)
 
 val stats : d:int -> Instance.t -> Simulate.stats
-(** @raise Failure if the schedule is rejected by the executor (a bug). *)
+(** @raise Driver.Invalid_schedule if the executor rejects the schedule (a bug). *)
 
 val elapsed_time : d:int -> Instance.t -> int
 val stall_time : d:int -> Instance.t -> int

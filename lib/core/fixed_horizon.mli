@@ -10,7 +10,7 @@ val rule : Instance.t -> Driver.t -> unit
 val schedule : Instance.t -> Fetch_op.schedule
 
 val stats : Instance.t -> Simulate.stats
-(** @raise Failure if the schedule is rejected by the executor (a bug). *)
+(** @raise Driver.Invalid_schedule if the executor rejects the schedule (a bug). *)
 
 val stall_time : Instance.t -> int
 val elapsed_time : Instance.t -> int

@@ -24,7 +24,7 @@ val schedule : config -> Instance.t -> Fetch_op.schedule
 (** @raise Invalid_argument if [lookahead < 1]. *)
 
 val stats : config -> Instance.t -> Simulate.stats
-(** @raise Failure if the schedule is rejected by the executor (a bug). *)
+(** @raise Driver.Invalid_schedule if the executor rejects the schedule (a bug). *)
 
 val stall_time : config -> Instance.t -> int
 val elapsed_time : config -> Instance.t -> int

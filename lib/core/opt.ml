@@ -1,17 +1,16 @@
 (* Pruned branch-and-bound engine for the exact optima.  See opt.mli for
    the pruning rules and their soundness arguments.
 
-   The single-disk engine searches the greedy-content state space of
-   Opt_single (states are (cursor, cache mask); fetches target the next
-   missing block and start at decision points), either with the
+   The single-disk engine searches the greedy-content state space
+   (states are (cursor, cache mask); fetches target the next missing
+   block and start at decision points), either with the
    furthest-next-reference eviction fixed (the Section 3 normalization)
-   or branching over every eviction (the Opt_exhaustive validation
-   mode).  The parallel engine searches the full timeline state space of
-   Opt_parallel (cursor, cache mask, per-disk in-flight fetch).  Both are
-   Dijkstra over stall cost - 0/1 per time step in the parallel engine,
-   0..F per fetch in the single-disk ones - run on a monotone bucket
-   queue and pruned by incumbent + admissible lower bound + cache-mask
-   dominance. *)
+   or branching over every eviction (the free-eviction validation mode).
+   The parallel engine searches the full timeline state space (cursor,
+   cache mask, per-disk in-flight fetch).  Both are Dijkstra over stall
+   cost - 0/1 per time step in the parallel engine, 0..F per fetch in
+   the single-disk ones - run on a monotone bucket queue and pruned by
+   incumbent + admissible lower bound + cache-mask dominance. *)
 
 let max_blocks = Bits.max_mask_bits
 
@@ -45,6 +44,8 @@ let () =
     | Solver_failure { solver; failure } ->
       Some (Printf.sprintf "%s: %s" solver (failure_to_string failure))
     | _ -> None)
+
+let fail solver failure = raise (Solver_failure { solver; failure })
 
 type outcome = {
   stall : int;
@@ -319,14 +320,12 @@ let ws =
     w_reach = [||];
   }
 
-let solve_single ?node_budget ?(free_evict = false) (inst : Instance.t) :
-  (outcome, failure) result =
+let solve_single ?node_budget ?(free_evict = false) (inst : Instance.t) : outcome =
   let n = Instance.length inst in
   let num_blocks = Instance.num_blocks inst in
   if num_blocks > max_blocks then
-    invalid_arg
-      (Printf.sprintf "Opt.solve_single: %d blocks exceed the %d-block limit" num_blocks
-         max_blocks);
+    Instance.invalidf "Opt.solve_single: %d blocks exceed the %d-block limit" num_blocks
+      max_blocks;
   let seq = inst.Instance.seq in
   let k = inst.Instance.cache_size in
   let f = inst.Instance.fetch_time in
@@ -543,12 +542,11 @@ let solve_single ?node_budget ?(free_evict = false) (inst : Instance.t) :
   let incumbent = rollout () in
   let ub = match incumbent with Some (c, _) -> c | None -> max_int in
   let tally = fresh_tally () in
-  if ub = 0 then begin
+  match incumbent with
+  | Some (0, edges) ->
     (* The greedy rollout is already optimal; skip the search. *)
-    let edges = match incumbent with Some (_, e) -> e | None -> assert false in
-    Ok { stall = 0; schedule = Some (replay edges); stats = finish_stats tally ~ub ~improved:false }
-  end
-  else begin
+    { stall = 0; schedule = Some (replay edges); stats = finish_stats tally ~ub ~improved:false }
+  | _ ->
     stab_reset ws.w_tbl;
     let tbl = ws.w_tbl in
     if Array.length ws.w_settled < n + 1 then begin
@@ -743,7 +741,8 @@ let solve_single ?node_budget ?(free_evict = false) (inst : Instance.t) :
         end
       end
     done;
-      if !out_of_budget then Error (Budget_exhausted { budget; expanded = tally.t_expanded })
+    if !out_of_budget then
+      fail "Opt.solve_single" (Budget_exhausted { budget; expanded = tally.t_expanded })
     else begin
       match !goal with
       | Some (gc, gmask) ->
@@ -764,38 +763,25 @@ let solve_single ?node_budget ?(free_evict = false) (inst : Instance.t) :
             mask := pmask
           end
         done;
-        Ok
-          {
-            stall;
-            schedule = Some (replay !edges);
-            stats = finish_stats tally ~ub ~improved:true;
-          }
+        { stall; schedule = Some (replay !edges); stats = finish_stats tally ~ub ~improved:true }
       | None ->
         (* Every node that could have beaten the incumbent was explored
            or pruned: the incumbent is optimal. *)
         (match incumbent with
          | Some (stall, edges) ->
-           Ok
-             {
-               stall;
-               schedule = Some (replay edges);
-               stats = finish_stats tally ~ub ~improved:false;
-             }
-         | None -> Error Infeasible)
+           { stall; schedule = Some (replay edges); stats = finish_stats tally ~ub ~improved:false }
+         | None -> fail "Opt.solve_single" Infeasible)
     end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Parallel engine. *)
 
-let solve_parallel ?node_budget ?(extra_slots = 0) (inst : Instance.t) :
-  (outcome, failure) result =
+let solve_parallel ?node_budget ?(extra_slots = 0) (inst : Instance.t) : outcome =
   let n = Instance.length inst in
   let num_blocks = Instance.num_blocks inst in
   if num_blocks > max_blocks then
-    invalid_arg
-      (Printf.sprintf "Opt.solve_parallel: %d blocks exceed the %d-block limit" num_blocks
-         max_blocks);
+    Instance.invalidf "Opt.solve_parallel: %d blocks exceed the %d-block limit" num_blocks
+      max_blocks;
   let seq = inst.Instance.seq in
   let k = inst.Instance.cache_size + extra_slots in
   let f = inst.Instance.fetch_time in
@@ -810,7 +796,7 @@ let solve_parallel ?node_budget ?(extra_slots = 0) (inst : Instance.t) :
     let rec chk acc i =
       if i >= nd then ()
       else if acc > max_int / disk_radix then
-        invalid_arg
+        Instance.invalidf
           "Opt.solve_parallel: packed (cursor, cache, in-flight) state encoding exceeds 62 bits"
       else chk (acc * disk_radix) (i + 1)
     in
@@ -880,7 +866,7 @@ let solve_parallel ?node_budget ?(extra_slots = 0) (inst : Instance.t) :
     | Error _ -> max_int
   in
   let tally = fresh_tally () in
-  if ub = 0 then Ok { stall = 0; schedule = None; stats = finish_stats tally ~ub ~improved:false }
+  if ub = 0 then { stall = 0; schedule = None; stats = finish_stats tally ~ub ~improved:false }
   else begin
     let dist : (int * int, int) Hashtbl.t array =
       Array.init (n + 1) (fun _ -> Hashtbl.create 32)
@@ -1001,14 +987,15 @@ let solve_parallel ?node_budget ?(extra_slots = 0) (inst : Instance.t) :
           end
         end
     done;
-    if !out_of_budget then Error (Budget_exhausted { budget; expanded = tally.t_expanded })
+    if !out_of_budget then
+      fail "Opt.solve_parallel" (Budget_exhausted { budget; expanded = tally.t_expanded })
     else begin
       match !answer with
-      | Some stall -> Ok { stall; schedule = None; stats = finish_stats tally ~ub ~improved:true }
+      | Some stall -> { stall; schedule = None; stats = finish_stats tally ~ub ~improved:true }
       | None ->
         if ub < max_int then
-          Ok { stall = ub; schedule = None; stats = finish_stats tally ~ub ~improved:false }
-        else Error Infeasible
+          { stall = ub; schedule = None; stats = finish_stats tally ~ub ~improved:false }
+        else fail "Opt.solve_parallel" Infeasible
     end
   end
 

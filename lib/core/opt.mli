@@ -1,11 +1,17 @@
-(** Pruned branch-and-bound engine for the exact optima.
+(** Pruned branch-and-bound engine for the exact optima: the only
+    exact-optimum API.
 
-    One engine behind {!Opt_single}, {!Opt_exhaustive} and
-    {!Opt_parallel}, replacing their memoized recursion /
-    [Set.Make]-as-priority-queue Dijkstra with best-first search over a
-    monotone {!Bucketq} keyed by accumulated stall, plus three pruning
-    rules that leave the returned stall value bit-identical to the
-    unpruned searches:
+    {!solve_single} is the single-disk optimum over greedy-content
+    schedules (the Section 3 normalization, after Albers-Garg-Leonardi:
+    every fetch loads the next missing block, evicts the
+    furthest-next-reference block and starts at a decision point), with a
+    witness schedule; [~free_evict:true] branches over every eviction
+    instead, which validates the normalization.  {!solve_parallel} is the
+    exhaustive parallel-disk optimum (ground truth for Theorem 4).  Each
+    search is best-first over a monotone bucket queue keyed by
+    accumulated stall, plus three pruning rules that leave the returned
+    stall value bit-identical to the unpruned searches (the test suite
+    keeps those as references):
 
     - {b Incumbent seeding}: the search starts with a feasible upper
       bound - the realized stall of the Aggressive policy rolled out in
@@ -55,8 +61,8 @@ type failure =
   | Infeasible  (** no feasible schedule exists in the search space *)
 
 exception Solver_failure of { solver : string; failure : failure }
-(** Raised by the legacy wrappers ({!Opt_single.solve} and friends),
-    which promise a total result; a printer is registered. *)
+(** Raised by the solvers when the node budget runs out or the search
+    space holds no schedule; a printer is registered. *)
 
 type outcome = {
   stall : int;  (** minimum achievable stall time *)
@@ -65,24 +71,28 @@ type outcome = {
   stats : stats;
 }
 
-val solve_single :
-  ?node_budget:int -> ?free_evict:bool -> Instance.t -> (outcome, failure) result
-(** Single-disk optimum over greedy-content schedules.  With
-    [free_evict:false] (default) evictions are fixed to the
-    furthest-next-reference block - the {!Opt_single} normalization; with
-    [free_evict:true] every eviction candidate is branched on - the
-    {!Opt_exhaustive} validation mode.  [node_budget] bounds the number
-    of expanded nodes (default: unlimited).
-    @raise Invalid_argument beyond {!max_blocks} distinct blocks. *)
+val solve_single : ?node_budget:int -> ?free_evict:bool -> Instance.t -> outcome
+(** Single-disk optimum over greedy-content schedules, with a witness
+    ([schedule] is always [Some]).  With [free_evict:false] (default)
+    evictions are fixed to the furthest-next-reference block - the
+    Section 3 normalization; with [free_evict:true] every eviction
+    candidate is branched on - the validation mode, which must return
+    the same stall.  [node_budget] bounds the number of expanded nodes
+    (default: unlimited).
+    @raise Instance.Invalid beyond {!max_blocks} distinct blocks.
+    @raise Solver_failure when the budget runs out ([Budget_exhausted])
+    or no schedule exists ([Infeasible], never on valid instances). *)
 
-val solve_parallel :
-  ?node_budget:int -> ?extra_slots:int -> Instance.t -> (outcome, failure) result
+val solve_parallel : ?node_budget:int -> ?extra_slots:int -> Instance.t -> outcome
 (** Exhaustive parallel-disk optimum (timeline search, per-disk fetches
     in next-reference order, arbitrary evictions) with
-    [cache_size + extra_slots] locations.  No witness schedule.
-    @raise Invalid_argument when blocks exceed {!max_blocks} or the
-    packed (cursor, cache, in-flight) state encoding would overflow. *)
+    [cache_size + extra_slots] locations (default [extra_slots = 0]).
+    No witness schedule.  Exponential: ground truth for Theorem 4 on
+    instances of roughly 14 requests.
+    @raise Instance.Invalid when blocks exceed {!max_blocks} or the
+    packed (cursor, cache, in-flight) state encoding would overflow.
+    @raise Solver_failure as {!solve_single}. *)
 
-val solve : ?node_budget:int -> Instance.t -> (outcome, failure) result
+val solve : ?node_budget:int -> Instance.t -> outcome
 (** Dispatch on [num_disks]: {!solve_single} for one disk,
     {!solve_parallel} otherwise. *)

@@ -10,7 +10,7 @@ val aggressive_decide : Driver.t -> unit
 val aggressive_schedule : Instance.t -> Fetch_op.schedule
 
 val aggressive_stats : Instance.t -> Simulate.stats
-(** @raise Failure if the schedule is rejected by the executor (a bug). *)
+(** @raise Driver.Invalid_schedule if the executor rejects the schedule (a bug). *)
 
 val aggressive_stall : Instance.t -> int
 
@@ -21,6 +21,6 @@ val conservative_rule : Instance.t -> Driver.t -> unit
 val conservative_schedule : Instance.t -> Fetch_op.schedule
 
 val conservative_stats : Instance.t -> Simulate.stats
-(** @raise Failure if the schedule is rejected by the executor (a bug). *)
+(** @raise Driver.Invalid_schedule if the executor rejects the schedule (a bug). *)
 
 val conservative_stall : Instance.t -> int

@@ -38,6 +38,7 @@ val execute :
 (** With [Faults.none] and a valid schedule this follows the plan
     faithfully (no re-plans, stall equal to {!Simulate.run}).  The
     schedule must be statically well-formed (anchors in range, blocks on
-    their home disks); @raise Invalid_argument otherwise, and
-    @raise Failure on the astronomically-unlikely fault streak that
-    exceeds the internal time horizon. *)
+    their home disks).
+    @raise Simulate.Invalid_schedule if it is not.
+    @raise Simulate.Internal_error on the astronomically-unlikely fault
+    streak that exceeds the internal time horizon. *)

@@ -561,41 +561,73 @@ let assign_evictions (dc : decomposition) (sel : (int * Rat.t) list) : batch lis
 (* ------------------------------------------------------------------ *)
 (* 4. Emit an executor schedule. *)
 
-(* Convert batches (in interval order) into fetch operations.  The anchors
-   and delays handed to the executor must match its timeline exactly, so we
-   run a faithful mini-simulation (arrival times included): a batch
-   anchored at interval (lo, hi) starts at max(first time the cursor
-   reached lo or later, previous batch's completion). *)
-let emit (aug : Sync_lp.augmented) (batches : batch list) : Fetch_op.schedule =
+(* The cache a batch finds when it starts: which base blocks are
+   resident, and how many blocks. *)
+type cache = {
+  resident : bool array;
+  mutable count : int;
+}
+
+(* Replay batches (in interval order) on the executor's timeline and
+   collect their fetch operations.  The anchors and delays handed to the
+   executor must match its timeline exactly, so this runs a faithful
+   mini-simulation (arrival times included): a batch anchored at
+   interval (lo, hi) starts at max(first time the cursor reached lo or
+   later, previous batch's completion).  [fill cache ~cursor batch
+   ~start] picks the batch's contents on the cache it finds, calling
+   [start] once per fetch: the victim leaves the cache at once, and the
+   batch's blocks arrive together F units later.  Batches are
+   synchronized, so at most one is in flight at a time. *)
+let replay_batches (aug : Sync_lp.augmented) ~anchor ~fill batches : Fetch_op.schedule =
   let inst = aug.Sync_lp.inst in
   let n = aug.Sync_lp.n in
   let f = inst.Instance.fetch_time in
-  let in_cache = Array.make aug.Sync_lp.base_blocks false in
+  let cache =
+    {
+      resident = Array.make aug.Sync_lp.base_blocks false;
+      count = List.length inst.Instance.initial_cache;
+    }
+  in
   List.iter
-    (fun b -> if b < aug.Sync_lp.base_blocks then in_cache.(b) <- true)
+    (fun b -> if b < aug.Sync_lp.base_blocks then cache.resident.(b) <- true)
     inst.Instance.initial_cache;
   let ops = ref [] in
   let time = ref 0 in
   let cursor = ref 0 in
   let reach = Array.make (n + 1) 0 in
-  (* Blocks in flight and their arrival time; batches are synchronized so
-     at most one batch is in flight at a time. *)
   let arrivals : (int list * int) option ref = ref None in
   let process_arrivals () =
     match !arrivals with
     | Some (bs, t) when t <= !time ->
-      List.iter (fun b -> in_cache.(b) <- true) bs;
+      List.iter
+        (fun b ->
+           cache.resident.(b) <- true;
+           cache.count <- cache.count + 1)
+        bs;
       arrivals := None
     | _ -> ()
   in
   let step () =
     process_arrivals ();
-    if !cursor < n && in_cache.(inst.Instance.seq.(!cursor)) then begin
+    if !cursor < n && cache.resident.(inst.Instance.seq.(!cursor)) then begin
       incr cursor;
       incr time;
       reach.(!cursor) <- !time
     end
     else incr time
+  in
+  (* The current batch: its anchor, start time and blocks started. *)
+  let lo = ref 0 and start_time = ref 0 and started = ref [] in
+  let start ~disk ~block ~evict =
+    (match evict with
+     | Some e ->
+       cache.resident.(e) <- false;
+       cache.count <- cache.count - 1
+     | None -> ());
+    started := block :: !started;
+    ops :=
+      Fetch_op.make ~at_cursor:!lo ~delay:(!start_time - reach.(!lo)) ~disk ~block ~evict ()
+      :: !ops
   in
   let disk_free = ref 0 in
   let fuel = ref (((n + List.length batches + 2) * (f + 2)) + 64) in
@@ -605,53 +637,53 @@ let emit (aug : Sync_lp.augmented) (batches : batch list) : Fetch_op.schedule =
        if not !broken then begin
          (* Advance until the cursor has reached the batch's anchor and the
             disks are free. *)
-         while (not !broken) && (!cursor < batch.biv.Iv.lo || !time < !disk_free) do
+         lo := anchor batch;
+         while (not !broken) && (!cursor < !lo || !time < !disk_free) do
            decr fuel;
            if !fuel <= 0 then broken := true else step ()
          done;
          process_arrivals ();
          if not !broken then begin
-           let start = !time in
-           (* Real fetches only; drop junk and fetches of cached blocks
-              (the latter can arise from skipped normalization swaps). *)
-           let fetches =
-             List.filter
-               (fun (_, b) ->
-                  (not (is_junk aug b)) && b < aug.Sync_lp.base_blocks && not in_cache.(b))
-               batch.fetches
-           in
-           let evictions =
-             ref
-               (List.filter
-                  (fun b -> b < aug.Sync_lp.base_blocks && in_cache.(b))
-                  batch.evictions)
-           in
-           if fetches <> [] then begin
-             List.iter
-               (fun (disk, b) ->
-                  let evict =
-                    match !evictions with
-                    | e :: rest ->
-                      evictions := rest;
-                      Some e
-                    | [] -> None
-                  in
-                  (match evict with
-                   | Some e -> in_cache.(e) <- false
-                   | None -> ());
-                  ops :=
-                    Fetch_op.make ~at_cursor:batch.biv.Iv.lo
-                      ~delay:(start - reach.(batch.biv.Iv.lo))
-                      ~disk ~block:b ~evict ()
-                    :: !ops)
-               fetches;
-             disk_free := start + f;
-             arrivals := Some (List.map snd fetches, start + f)
+           start_time := !time;
+           started := [];
+           fill cache ~cursor:!cursor batch ~start;
+           if !started <> [] then begin
+             disk_free := !start_time + f;
+             arrivals := Some (!started, !start_time + f)
            end
          end
        end)
     batches;
   List.rev !ops
+
+(* The paper-faithful contents: each batch's offset-sampled fetches, paired
+   in order with its Q_t evictions. *)
+let emit (aug : Sync_lp.augmented) (batches : batch list) : Fetch_op.schedule =
+  let base = aug.Sync_lp.base_blocks in
+  replay_batches aug batches
+    ~anchor:(fun batch -> batch.biv.Iv.lo)
+    ~fill:(fun cache ~cursor:_ batch ~start ->
+        (* Real fetches only; drop junk and fetches of cached blocks (the
+           latter can arise from skipped normalization swaps). *)
+        let fetches =
+          List.filter
+            (fun (_, b) -> (not (is_junk aug b)) && b < base && not cache.resident.(b))
+            batch.fetches
+        in
+        let evictions =
+          ref (List.filter (fun b -> b < base && cache.resident.(b)) batch.evictions)
+        in
+        List.iter
+          (fun (disk, block) ->
+             let evict =
+               match !evictions with
+               | e :: rest ->
+                 evictions := rest;
+                 Some e
+               | [] -> None
+             in
+             start ~disk ~block ~evict)
+          fetches)
 
 (* ------------------------------------------------------------------ *)
 (* Greedy-content rounding: keep only the *skeleton* of a selection (which
@@ -670,115 +702,50 @@ let emit (aug : Sync_lp.augmented) (batches : batch list) : Fetch_op.schedule =
 let emit_greedy (aug : Sync_lp.augmented) (sel_ivs : Iv.t list) : Fetch_op.schedule =
   let inst = aug.Sync_lp.inst in
   let n = aug.Sync_lp.n in
-  let f = inst.Instance.fetch_time in
-  let nd = inst.Instance.num_disks in
   let nb = aug.Sync_lp.base_blocks in
-  let capacity = inst.Instance.cache_size + (2 * (nd - 1)) in
+  let capacity = inst.Instance.cache_size + (2 * (inst.Instance.num_disks - 1)) in
   let nr = Next_ref.build inst.Instance.seq ~num_blocks:nb in
-  let in_cache = Array.make nb false in
-  List.iter (fun b -> if b < nb then in_cache.(b) <- true) inst.Instance.initial_cache;
-  let cache_count = ref (List.length inst.Instance.initial_cache) in
-  let ops = ref [] in
-  let time = ref 0 in
-  let cursor = ref 0 in
-  let reach = Array.make (n + 1) 0 in
-  let arrivals : (int list * int) option ref = ref None in
-  let process_arrivals () =
-    match !arrivals with
-    | Some (bs, t) when t <= !time ->
-      List.iter
-        (fun b ->
-           in_cache.(b) <- true;
-           incr cache_count)
-        bs;
-      arrivals := None
-    | _ -> ()
-  in
-  let step () =
-    process_arrivals ();
-    if !cursor < n && in_cache.(inst.Instance.seq.(!cursor)) then begin
-      incr cursor;
-      incr time;
-      reach.(!cursor) <- !time
-    end
-    else incr time
-  in
-  let disk_free = ref 0 in
-  let fuel = ref (((n + List.length sel_ivs + 2) * (f + 2)) + 64) in
-  let broken = ref false in
-  List.iter
-    (fun (iv : Iv.t) ->
-       if not !broken then begin
-         while (not !broken) && (!cursor < iv.Iv.lo || !time < !disk_free) do
-           decr fuel;
-           if !fuel <= 0 then broken := true else step ()
-         done;
-         process_arrivals ();
-         if not !broken then begin
-           let start = !time in
-           let batch_blocks = ref [] in
-           let in_flight = ref 0 in
-           for disk = 0 to nd - 1 do
-             (* Earliest-referenced missing block on this disk. *)
-             let rec scan i =
-               if i >= n then None
-               else begin
-                 let b = inst.Instance.seq.(i) in
-                 if (not in_cache.(b))
-                    && (not (List.exists (fun (_, b') -> b' = b) !batch_blocks))
-                    && inst.Instance.disk_of.(b) = disk
-                 then Some (i, b)
-                 else scan (i + 1)
-               end
-             in
-             match scan !cursor with
-             | None -> ()
-             | Some (p, b) ->
-               (* Furthest-next-referenced safe victim. *)
-               let victim = ref (-1) in
-               let victim_next = ref (-1) in
-               for e = 0 to nb - 1 do
-                 if in_cache.(e) then begin
-                   let nx = Next_ref.next_at_or_after nr e !cursor in
-                   if nx > !victim_next then begin
-                     victim_next := nx;
-                     victim := e
-                   end
-                 end
-               done;
-               let evict =
-                 if !victim >= 0 && !victim_next > p then Some !victim
-                 else if !cache_count + !in_flight + 1 <= capacity then None
-                 else (* no safe victim and no spare capacity: skip fetch *)
-                   Some (-1)
-               in
-               (match evict with
-                | Some (-1) -> ()
-                | Some e ->
-                  in_cache.(e) <- false;
-                  decr cache_count;
-                  incr in_flight;
-                  batch_blocks := (disk, b) :: !batch_blocks;
-                  ops :=
-                    Fetch_op.make ~at_cursor:iv.Iv.lo ~delay:(start - reach.(iv.Iv.lo)) ~disk
-                      ~block:b ~evict:(Some e) ()
-                    :: !ops
-                | None ->
-                  incr in_flight;
-                  batch_blocks := (disk, b) :: !batch_blocks;
-                  ops :=
-                    Fetch_op.make ~at_cursor:iv.Iv.lo ~delay:(start - reach.(iv.Iv.lo)) ~disk
-                      ~block:b ~evict:None ()
-                    :: !ops)
-           done;
-           if !batch_blocks <> [] then begin
-             disk_free := start + f;
-             arrivals := Some (List.map snd !batch_blocks, start + f)
-           end
-         end
-       end)
-    sel_ivs;
-  List.rev !ops
+  replay_batches aug sel_ivs
+    ~anchor:(fun (iv : Iv.t) -> iv.Iv.lo)
+    ~fill:(fun cache ~cursor _ ~start ->
+        let in_flight = ref 0 in
+        for disk = 0 to inst.Instance.num_disks - 1 do
+          (* Earliest-referenced missing block on this disk (a block has
+             one home disk, so no earlier disk of this batch fetched it). *)
+          let rec scan i =
+            if i >= n then None
+            else begin
+              let b = inst.Instance.seq.(i) in
+              if (not cache.resident.(b)) && inst.Instance.disk_of.(b) = disk then Some (i, b)
+              else scan (i + 1)
+            end
+          in
+          match scan cursor with
+          | None -> ()
+          | Some (p, b) ->
+            (* Furthest-next-referenced safe victim. *)
+            let victim = ref (-1) in
+            let victim_next = ref (-1) in
+            for e = 0 to nb - 1 do
+              if cache.resident.(e) then begin
+                let nx = Next_ref.next_at_or_after nr e cursor in
+                if nx > !victim_next then begin
+                  victim_next := nx;
+                  victim := e
+                end
+              end
+            done;
+            if !victim >= 0 && !victim_next > p then begin
+              incr in_flight;
+              start ~disk ~block:b ~evict:(Some !victim)
+            end
+            else if cache.count + !in_flight + 1 <= capacity then begin
+              incr in_flight;
+              start ~disk ~block:b ~evict:None
+            end
+            (* Otherwise no safe victim and no spare capacity: skip the
+               fetch. *)
+        done)
 
 (* ------------------------------------------------------------------ *)
 (* Top level. *)
@@ -815,6 +782,25 @@ let report (r : result) : result =
   r
 
 let solve ?(solver = Revised.solve_lp) (inst : Instance.t) : result =
+  let extra = 2 * (inst.Instance.num_disks - 1) in
+  (* The always-valid greedy baseline, returned with [used_fallback]. *)
+  let greedy () =
+    let schedule = Parallel_greedy.aggressive_schedule inst in
+    match Simulate.run ~extra_slots:extra inst schedule with
+    | Ok s -> (schedule, s)
+    | Error e -> Simulate.reject ~algorithm:"rounding/greedy-fallback" e
+  in
+  let greedy_result ~lp_value ~laminar ~tried (schedule, stats) =
+    report
+      { schedule;
+        stats;
+        lp_value;
+        nominal_stall = stats.Simulate.stall_time;
+        laminar;
+        used_fallback = true;
+        candidates_tried = tried;
+        extra_slots_allowed = extra }
+  in
   match Sync_lp.solve ~solver inst with
   | exception
       ( Ilp.Unbounded_relaxation _
@@ -825,30 +811,13 @@ let solve ?(solver = Revised.solve_lp) (inst : Instance.t) : result =
        overflowed a native-int conversion ([Bigint.Does_not_fit] /
        [Rat.Not_an_integer] instead of the bare [Failure] they used to
        raise).  The LP lower bound is unavailable either way, so fall
-       back to the always-valid greedy baseline with the trivial bound
-       of zero. *)
-    let extra = 2 * (inst.Instance.num_disks - 1) in
-    let schedule = Parallel_greedy.aggressive_schedule inst in
-    let stats =
-      match Simulate.run ~extra_slots:extra inst schedule with
-      | Ok s -> s
-      | Error e -> Simulate.reject ~algorithm:"rounding/greedy-fallback" e
-    in
-    report
-      { schedule;
-        stats;
-        lp_value = Rat.zero;
-        nominal_stall = stats.Simulate.stall_time;
-        laminar = true;
-        used_fallback = true;
-        candidates_tried = 0;
-        extra_slots_allowed = extra }
+       back to the greedy baseline with the trivial bound of zero. *)
+    greedy_result ~lp_value:Rat.zero ~laminar:true ~tried:0 (greedy ())
   | { Sync_lp.frac; lp_value } ->
   let norm = of_fractional frac in
   eliminate_crossings norm;
   normalize_orders norm;
   let dc = decompose norm in
-  let extra = 2 * (inst.Instance.num_disks - 1) in
   let candidates =
     candidate_ts dc
     |> List.map (fun t ->
@@ -893,32 +862,15 @@ let solve ?(solver = Revised.solve_lp) (inst : Instance.t) : result =
             | _ -> Some r))
       None cands
   in
-  let greedy_baseline () =
-    let schedule = Parallel_greedy.aggressive_schedule inst in
-    match Simulate.run ~extra_slots:extra inst schedule with
-    | Ok s -> (schedule, s)
-    | Error e -> Simulate.reject ~algorithm:"rounding/greedy-fallback" e
-  in
-  let greedy_report () =
-    let schedule, stats = greedy_baseline () in
-    { schedule;
-      stats;
-      lp_value;
-      nominal_stall = stats.Simulate.stall_time;
-      laminar = norm.laminar;
-      used_fallback = true;
-      candidates_tried = !tried;
-      extra_slots_allowed = extra }
-  in
   match best_of candidates with
   | Some (schedule, stats, nominal) ->
     (* The offset sampling is heuristic in corners (tie-breaking inside
        batches, non-laminar leftovers), so its realized stall can trail
        the plain greedy baseline; the executor is the judge, and the
        better of the two is returned. *)
-    let _, greedy_stats = greedy_baseline () in
+    let ((_, greedy_stats) as baseline) = greedy () in
     if greedy_stats.Simulate.stall_time < stats.Simulate.stall_time then
-      report (greedy_report ())
+      greedy_result ~lp_value ~laminar:norm.laminar ~tried:!tried baseline
     else
       report
         { schedule;
@@ -931,6 +883,6 @@ let solve ?(solver = Revised.solve_lp) (inst : Instance.t) : result =
           extra_slots_allowed = extra }
   | None ->
     (* Last resort: greedy baseline (always valid). *)
-    report (greedy_report ())
+    greedy_result ~lp_value ~laminar:norm.laminar ~tried:!tried (greedy ())
 
 let stall_time ?solver inst = (solve ?solver inst).stats.Simulate.stall_time

@@ -13,4 +13,4 @@ type outcome = {
 }
 
 val solve : ?node_limit:int -> Instance.t -> outcome
-(** @raise Failure on infeasible/unbounded models (a bug). *)
+(** @raise Simulate.Internal_error on infeasible/unbounded models (a bug). *)

@@ -71,7 +71,7 @@ let e16 ?count () : Tablefmt.t =
                         let n = Instance.length inst in
                         bound := alg.bound ~k ~f;
                         let sched = alg.schedule inst in
-                        let opt = Opt_single.stall_time inst in
+                        let opt = (Opt.solve_single inst).Opt.stall in
                         let faults =
                           Faults.make ~seed:(2000 + i) ~latency:(dist.latency f) ()
                         in

@@ -17,7 +17,7 @@ let e2 () : Tablefmt.t =
       [ "LP + rounding";
         string_of_int r.Rounding.stats.Simulate.stall_time;
         string_of_int (Stdlib.max 0 (r.Rounding.stats.Simulate.peak_occupancy - inst.Instance.cache_size)) ];
-      [ "exhaustive OPT (k cache)"; string_of_int (Opt_parallel.solve_stall inst); "0" ] ]
+      [ "exhaustive OPT (k cache)"; string_of_int (Opt.solve_parallel inst).Opt.stall; "0" ] ]
   in
   Tablefmt.make ~title:"E2: paper two-disk example (sigma = b1 b2 c1 c2 b3 c3 b4, k=4, F=4, D=2)"
     ~headers:[ "algorithm"; "stall"; "extra slots used" ]
@@ -50,7 +50,7 @@ let e9 ?(count = 20) () : Tablefmt.t =
            List.map
              (fun inst ->
                 let lp = Rat.to_float (Sync_lp.lower_bound inst) in
-                let opt = float_of_int (Opt_parallel.solve_stall inst) in
+                let opt = float_of_int (Opt.solve_parallel inst).Opt.stall in
                 opt -. lp)
              insts
          in
@@ -74,7 +74,7 @@ let e10 ?(count = 20) () : Tablefmt.t =
            List.map
              (fun inst ->
                 let r = Rounding.solve inst in
-                let opt = Opt_parallel.solve_stall inst in
+                let opt = (Opt.solve_parallel inst).Opt.stall in
                 let extra =
                   Stdlib.max 0 (r.Rounding.stats.Simulate.peak_occupancy - inst.Instance.cache_size)
                 in
@@ -139,7 +139,7 @@ let e12 ?(count = 30) () : Tablefmt.t =
     List.fold_left
       (fun (i, e) inst ->
          let lp = Sync_lp.lower_bound inst in
-         let opt = Opt_single.stall_time inst in
+         let opt = (Opt.solve_single inst).Opt.stall in
          ((if Rat.is_integer lp then i + 1 else i), if Rat.equal lp (Rat.of_int opt) then e + 1 else e))
       (0, 0) insts
   in

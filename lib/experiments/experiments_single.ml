@@ -16,7 +16,14 @@ let e1 () : Tablefmt.t =
   let algorithms =
     Measure.single_disk_algorithms
     @ [ Measure.delay_algorithm 1; Measure.delay_algorithm 2;
-        { Measure.name = "opt"; schedule = (fun i -> (Opt_single.solve i).Opt_single.schedule) } ]
+        { Measure.name = "opt";
+          schedule =
+            (fun i ->
+               match (Opt.solve_single i).Opt.schedule with
+               | Some s -> s
+               | None ->
+                 Simulate.internal_error ~component:"E1" "single-disk optimum without a witness")
+        } ]
   in
   let rows =
     List.map
@@ -66,7 +73,7 @@ let e4 ?(cases = [ (5, 3); (7, 4); (9, 5); (7, 3); (13, 4) ]) ?(phases = 4) () :
       (fun (k, f) ->
          let inst = Workload.theorem2_lower_bound ~k ~fetch_time:f ~phases in
          let agg = float_of_int (Aggressive.elapsed_time inst) in
-         let opt = float_of_int (Opt_single.elapsed_time inst) in
+         let opt = float_of_int (Instance.length inst + (Opt.solve_single inst).Opt.stall) in
          let ratio = agg /. opt in
          [ string_of_int k; string_of_int f; string_of_int phases;
            Tablefmt.f2 ratio;
@@ -159,7 +166,7 @@ let e13 ?(k = 6) ?(f = 4) ?(n = 150) () : Tablefmt.t =
     List.map
       (fun (name, seq) ->
          let inst = Workload.single_instance ~k ~fetch_time:f seq in
-         let opt = float_of_int (Opt_single.elapsed_time inst) in
+         let opt = float_of_int (Instance.length inst + (Opt.solve_single inst).Opt.stall) in
          name
          :: List.map
            (fun l ->

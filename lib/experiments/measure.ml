@@ -58,7 +58,7 @@ let elapsed_ratios (alg : algorithm) (instances : Instance.t list) : ratio_stats
     List.map
       (fun inst ->
          let a = float_of_int (elapsed inst alg) in
-         let o = float_of_int (Opt_single.elapsed_time inst) in
+         let o = float_of_int (Instance.length inst + (Opt.solve_single inst).Opt.stall) in
          a /. o)
       instances
   in

@@ -19,7 +19,7 @@ val run_stats : Instance.t -> algorithm -> Simulate.stats
     simulator.  Callers that need several derived measures (stall time,
     elapsed time, utilization...) should call this once rather than
     {!elapsed} and {!stall} separately, which each pay a full run.
-    @raise Failure if the algorithm emits an invalid schedule. *)
+    @raise Driver.Invalid_schedule if the algorithm emits an invalid schedule. *)
 
 val run_protected : Instance.t -> algorithm -> (Simulate.stats, string) result
 (** {!run_stats} with the typed failure channels
@@ -27,10 +27,10 @@ val run_protected : Instance.t -> algorithm -> (Simulate.stats, string) result
     rendered, for sweeps that should report a bad cell rather than die. *)
 
 val elapsed : Instance.t -> algorithm -> int
-(** @raise Failure if the algorithm emits an invalid schedule. *)
+(** @raise Driver.Invalid_schedule if the algorithm emits an invalid schedule. *)
 
 val stall : Instance.t -> algorithm -> int
-(** @raise Failure if the algorithm emits an invalid schedule. *)
+(** @raise Driver.Invalid_schedule if the algorithm emits an invalid schedule. *)
 
 type ratio_stats = {
   max_ratio : float;

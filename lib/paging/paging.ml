@@ -34,61 +34,11 @@ let report policy ~n (r : result) : result =
   end;
   r
 
-let run_generic ~choose_victim (inst : Instance.t) : result =
-  let n = Instance.length inst in
-  let num_blocks = Instance.num_blocks inst in
-  let k = inst.Instance.cache_size in
-  let in_cache = Array.make num_blocks false in
-  let cache = ref [] in
-  (* [cache] mirrors [in_cache] as a list for victim selection. *)
-  List.iter
-    (fun b ->
-       in_cache.(b) <- true;
-       cache := b :: !cache)
-    inst.Instance.initial_cache;
-  let replacements = ref [] in
-  let misses = ref 0 in
-  for i = 0 to n - 1 do
-    let b = inst.Instance.seq.(i) in
-    if not in_cache.(b) then begin
-      incr misses;
-      let evicted =
-        if List.length !cache < k then None
-        else begin
-          let v = choose_victim ~position:i ~cache:!cache in
-          in_cache.(v) <- false;
-          cache := List.filter (fun x -> x <> v) !cache;
-          Some v
-        end
-      in
-      in_cache.(b) <- true;
-      cache := b :: !cache;
-      replacements := { position = i; fetched = b; evicted } :: !replacements
-    end;
-    (* Notify policies that care about access order. *)
-    ()
-  done;
-  { replacements = List.rev !replacements; misses = !misses; final_cache = List.sort compare !cache }
-
-(* Belady's MIN: evict the cached block whose next reference is furthest in
-   the future (never-again blocks first; ties broken by smallest id for
-   determinism). *)
-let min_offline (inst : Instance.t) : result =
-  let nr = Next_ref.of_instance inst in
-  let choose_victim ~position ~cache =
-    let score b = Next_ref.next_at_or_after nr b position in
-    List.fold_left
-      (fun best b ->
-         let sb = score b and sbest = score best in
-         if sb > sbest || (sb = sbest && b < best) then b else best)
-      (List.hd cache) (List.tl cache)
-  in
-  report "min" ~n:(Instance.length inst) (run_generic ~choose_victim inst)
-
-(* Fast MIN: the same replacement sequence as [min_offline] in
-   O((n + misses) log k) via the lazy-invalidation eviction heap
-   ({!Evict_heap}, ordered key desc / block asc - exactly the fold's
-   strict-[>] tie-break towards smaller ids).
+(* Belady's MIN: evict the cached block whose next reference is furthest
+   in the future (never-again blocks first; ties broken by smallest id for
+   determinism), in O((n + misses) log k) via the lazy-invalidation
+   eviction heap ({!Evict_heap}, ordered key desc / block asc - exactly
+   that tie-break).
 
    Heap invariant (the driver's, transplanted to the demand model): each
    resident block's live key is its next reference at or after the scan
@@ -98,9 +48,10 @@ let min_offline (inst : Instance.t) : result =
    Any other resident block was last touched at some q < i with no
    reference in (q, i], so its key - the first reference after q - is
    still the first reference at or after the miss position.  The heap
-   top is therefore the fold's argmax, and the emitted replacements are
-   byte-identical (test_paging pins this on the fuzz corpus). *)
-let min_offline_fast (inst : Instance.t) : result =
+   top is therefore the furthest-next-reference block; {!Ck_seed.min_scan}
+   keeps the per-miss scan over the cache as its oracle, and test_paging
+   pins the two byte-identical on the fuzz corpus. *)
+let min_offline (inst : Instance.t) : result =
   let n = Instance.length inst in
   let num_blocks = Instance.num_blocks inst in
   let k = inst.Instance.cache_size in
@@ -150,8 +101,7 @@ let min_offline_fast (inst : Instance.t) : result =
   report "min" ~n
     { replacements = List.rev !replacements; misses = !misses; final_cache = !final }
 
-(* LRU needs access recency, so it does not fit [run_generic]'s stateless
-   victim choice; implement directly. *)
+(* LRU: evict the least recently used block (ties towards smaller ids). *)
 let lru (inst : Instance.t) : result =
   let n = Instance.length inst in
   let num_blocks = Instance.num_blocks inst in
@@ -209,24 +159,19 @@ let fifo (inst : Instance.t) : result =
          else best)
       (List.hd cache) (List.tl cache)
   in
-  let inst' = inst in
-  (* Wrap run_generic but update arrival stamps on misses: we re-run with a
-     victim chooser that reads [arrival]; stamps are written here by
-     intercepting replacements as they are produced.  Simplest correct way:
-     replicate the loop. *)
-  let n = Instance.length inst' in
-  let k = inst'.Instance.cache_size in
+  let n = Instance.length inst in
+  let k = inst.Instance.cache_size in
   let in_cache = Array.make num_blocks false in
   let cache = ref [] in
   List.iter
     (fun b ->
        in_cache.(b) <- true;
        cache := b :: !cache)
-    inst'.Instance.initial_cache;
+    inst.Instance.initial_cache;
   let replacements = ref [] in
   let misses = ref 0 in
   for i = 0 to n - 1 do
-    let b = inst'.Instance.seq.(i) in
+    let b = inst.Instance.seq.(i) in
     if not in_cache.(b) then begin
       incr misses;
       let evicted =

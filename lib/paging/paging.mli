@@ -21,14 +21,10 @@ type result = {
 
 val min_offline : Instance.t -> result
 (** Belady's MIN: evict the cached block whose next reference is furthest
-    in the future (never-again blocks first, ties towards smaller ids). *)
-
-val min_offline_fast : Instance.t -> result
-(** Byte-identical to {!min_offline} in O((n + misses) log k): victim
-    selection through the lazy-invalidation eviction heap
-    ({!Evict_heap}) instead of an O(k) fold with binary searches per
-    miss.  Conservative's fast path plans through this; the seed
-    [min_offline] remains its equivalence oracle. *)
+    in the future (never-again blocks first, ties towards smaller ids),
+    in O((n + misses) log k) through the lazy-invalidation eviction heap
+    ({!Evict_heap}).  Conservative plans through this; the per-miss scan
+    {!Ck_seed.min_scan} is its equivalence oracle. *)
 
 val lru : Instance.t -> result
 val fifo : Instance.t -> result

@@ -15,12 +15,12 @@ let example1 () =
 (* Anchors. *)
 
 let test_example2_opt_is_3 () =
-  Alcotest.(check int) "opt stall" 3 (Opt_parallel.solve_stall (example2 ()))
+  Alcotest.(check int) "opt stall" 3 ((Opt.solve_parallel (example2 ())).Opt.stall)
 
 let test_example2_theorem4 () =
   let inst = example2 () in
   let r = Rounding.solve inst in
-  let opt = Opt_parallel.solve_stall inst in
+  let opt = (Opt.solve_parallel inst).Opt.stall in
   Alcotest.(check bool)
     (Printf.sprintf "rounded stall %d <= opt %d" r.Rounding.stats.Simulate.stall_time opt)
     true
@@ -69,7 +69,7 @@ let gen_parallel_instance =
 let prop_greedy_valid_and_dominated =
   QCheck2.Test.make ~count:150 ~name:"greedy baselines valid, >= OPT" gen_parallel_instance
     (fun inst ->
-       let opt = Opt_parallel.solve_stall inst in
+       let opt = (Opt.solve_parallel inst).Opt.stall in
        let ga = Parallel_greedy.aggressive_stall inst in
        let gc = Parallel_greedy.conservative_stall inst in
        ga >= opt && gc >= opt)
@@ -81,7 +81,7 @@ let prop_theorem4 =
     gen_parallel_instance
     (fun inst ->
        let r = Rounding.solve inst in
-       let opt = Opt_parallel.solve_stall inst in
+       let opt = (Opt.solve_parallel inst).Opt.stall in
        let stall = r.Rounding.stats.Simulate.stall_time in
        let peak_ok =
          r.Rounding.stats.Simulate.peak_occupancy
@@ -103,7 +103,7 @@ let prop_lemma3 =
   QCheck2.Test.make ~count:60 ~name:"Lemma 3: LP value <= OPT" gen_parallel_instance
     (fun inst ->
        let lp = Sync_lp.lower_bound inst in
-       let opt = Opt_parallel.solve_stall inst in
+       let opt = (Opt.solve_parallel inst).Opt.stall in
        if Rat.le lp (Rat.of_int opt) then true
        else
          QCheck2.Test.fail_reportf "LP %s > opt %d on %s" (Rat.to_string lp) opt
@@ -126,7 +126,7 @@ let prop_single_disk_lp_integral =
   QCheck2.Test.make ~count:60 ~name:"D=1: LP value = combinatorial OPT" gen_single_instance
     (fun inst ->
        let lp = Sync_lp.lower_bound inst in
-       let opt = Opt_single.stall_time inst in
+       let opt = (Opt.solve_single inst).Opt.stall in
        if Rat.equal lp (Rat.of_int opt) then true
        else
          QCheck2.Test.fail_reportf "LP %s <> opt %d on %s" (Rat.to_string lp) opt
@@ -137,7 +137,7 @@ let prop_single_disk_rounding_exact =
     gen_single_instance
     (fun inst ->
        let r = Rounding.solve inst in
-       let opt = Opt_single.stall_time inst in
+       let opt = (Opt.solve_single inst).Opt.stall in
        (not r.Rounding.used_fallback)
        && r.Rounding.stats.Simulate.stall_time = opt
        && r.Rounding.stats.Simulate.peak_occupancy <= inst.Instance.cache_size)
@@ -163,10 +163,10 @@ let test_fallback_on_typed_overflow () =
    letting them escape raw; exercised via the exception constructors
    directly since its solver is not pluggable. *)
 
-(* Opt_parallel with D = 1 agrees with the single-disk DP. *)
+(* The parallel search with D = 1 agrees with the single-disk DP. *)
 let prop_opt_parallel_d1 =
-  QCheck2.Test.make ~count:80 ~name:"Opt_parallel(D=1) = Opt_single" gen_single_instance
-    (fun inst -> Opt_parallel.solve_stall inst = Opt_single.stall_time inst)
+  QCheck2.Test.make ~count:80 ~name:"solve_parallel(D=1) = solve_single" gen_single_instance
+    (fun inst -> (Opt.solve_parallel inst).Opt.stall = (Opt.solve_single inst).Opt.stall)
 
 let props =
   List.map QCheck_alcotest.to_alcotest

@@ -19,11 +19,12 @@ let test_aggressive_takes_naive_schedule () =
 
 let test_opt_finds_better_schedule () =
   (* The paper's "better option": stall 1, elapsed 11 - and it is optimal. *)
-  let o = Opt_single.solve (example1 ()) in
-  Alcotest.(check int) "opt stall" 1 o.Opt_single.stall;
-  (match Simulate.run (example1 ()) o.Opt_single.schedule with
-   | Ok s -> Alcotest.(check int) "validated stall" 1 s.Simulate.stall_time
-   | Error e -> Alcotest.failf "invalid opt schedule: %s" e.Simulate.reason)
+  let o = Opt.solve_single (example1 ()) in
+  Alcotest.(check int) "opt stall" 1 o.Opt.stall;
+  (match Option.map (Simulate.run (example1 ())) o.Opt.schedule with
+   | Some (Ok s) -> Alcotest.(check int) "validated stall" 1 s.Simulate.stall_time
+   | Some (Error e) -> Alcotest.failf "invalid opt schedule: %s" e.Simulate.reason
+   | None -> Alcotest.fail "no witness schedule")
 
 let test_delay1_matches_opt_on_example1 () =
   Alcotest.(check int) "delay(1) stall" 1 (Delay.stall_time ~d:1 (example1 ()))
@@ -79,7 +80,7 @@ let prop_delay_inf_is_conservative =
 let prop_opt_lower_bounds =
   QCheck2.Test.make ~count:200 ~name:"OPT <= every algorithm" (gen_instance ())
     (fun inst ->
-       let opt = Opt_single.stall_time inst in
+       let opt = (Opt.solve_single inst).Opt.stall in
        List.for_all
          (fun (name, alg) ->
             match Simulate.run inst (alg inst) with
@@ -94,14 +95,14 @@ let prop_opt_lower_bounds =
 
 (* The greedy-content normalization: restricted DP = exhaustive search. *)
 let prop_opt_matches_exhaustive =
-  QCheck2.Test.make ~count:150 ~name:"Opt_single = Opt_exhaustive"
+  QCheck2.Test.make ~count:150 ~name:"solve_single = ~free_evict"
     (gen_instance ~max_n:12 ~max_blocks:6 ~max_k:4 ~max_f:4 ())
     (fun inst ->
-       let a = Opt_single.stall_time inst in
-       let b = Opt_exhaustive.solve_stall inst in
+       let a = (Opt.solve_single inst).Opt.stall in
+       let b = (Opt.solve_single ~free_evict:true inst).Opt.stall in
        if a = b then true
        else
-         QCheck2.Test.fail_reportf "Opt_single=%d Opt_exhaustive=%d on %s" a b
+         QCheck2.Test.fail_reportf "restricted=%d free-eviction=%d on %s" a b
            (Format.asprintf "%a" Instance.pp inst))
 
 (* Theorem 1, per-sequence form: elapsed(Aggressive) <= elapsed(OPT)
@@ -114,7 +115,7 @@ let prop_aggressive_theorem1 =
        let phase_len = k + Bounds.ceil_div k f - 1 in
        let budget = f * Bounds.ceil_div n phase_len in
        let agg = Aggressive.elapsed_time inst in
-       let opt = Opt_single.elapsed_time inst in
+       let opt = Instance.length inst + (Opt.solve_single inst).Opt.stall in
        if agg <= opt + budget then true
        else
          QCheck2.Test.fail_reportf "agg=%d opt=%d budget=%d on %s" agg opt budget
@@ -125,7 +126,7 @@ let prop_conservative_2approx =
   QCheck2.Test.make ~count:200 ~name:"Conservative <= 2 OPT (elapsed)" (gen_instance ())
     (fun inst ->
        let c = Conservative.elapsed_time inst in
-       let opt = Opt_single.elapsed_time inst in
+       let opt = Instance.length inst + (Opt.solve_single inst).Opt.stall in
        c <= 2 * opt)
 
 (* Conservative performs the minimum possible number of fetches (MIN). *)
@@ -145,7 +146,7 @@ let prop_delay_theorem3 =
        let f = inst.Instance.fetch_time in
        let c = Bounds.delay_bound ~d ~f in
        let dl = float_of_int (Delay.elapsed_time ~d inst) in
-       let opt = float_of_int (Opt_single.elapsed_time inst) in
+       let opt = float_of_int (Instance.length inst + (Opt.solve_single inst).Opt.stall) in
        if dl <= (c *. opt) +. float_of_int f +. 1e-9 then true
        else
          QCheck2.Test.fail_reportf "delay(%d)=%g bound=%g*%g on %s" d dl c opt
@@ -173,7 +174,7 @@ let test_theorem2_aggressive_suffers () =
   let k = 5 and f = 3 and phases = 4 in
   let inst = Workload.theorem2_lower_bound ~k ~fetch_time:f ~phases in
   let agg = Aggressive.elapsed_time inst in
-  let opt = Opt_single.elapsed_time inst in
+  let opt = Instance.length inst + (Opt.solve_single inst).Opt.stall in
   let l = (k - 1) / (f - 1) in
   (* Paper: Aggressive needs k+l+F per phase; OPT needs k+l+2 per phase. *)
   Alcotest.(check bool)

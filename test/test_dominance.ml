@@ -119,7 +119,7 @@ let prop_holes_antitone =
          QCheck2.Test.fail_reportf "hole %d for added block %d absent from %s" removed added
            (String.concat ";" (List.map string_of_int h_small)))
 
-(* The normalization behind Opt_single prunes the candidate set to
+(* The normalization behind Opt.solve_single prunes the candidate set to
    greedy-content schedules (next missing block, furthest-next-reference
    eviction, decision-point starts).  The pruned set must still contain an
    optimal schedule: the unrestricted exhaustive search never beats it. *)
@@ -135,8 +135,8 @@ let prop_pruning_retains_optimum =
       let init = if warm then Instance.warm_initial_cache ~k seq else [] in
       return (Instance.single_disk ~k ~fetch_time:f ~initial_cache:init seq))
     (fun inst ->
-       let pruned = Opt_single.stall_time inst in
-       let free = Opt_exhaustive.solve_stall inst in
+       let pruned = (Opt.solve_single inst).Opt.stall in
+       let free = (Opt.solve_single ~free_evict:true inst).Opt.stall in
        if pruned = free then true
        else
          QCheck2.Test.fail_reportf "pruned %d vs exhaustive %d on %s" pruned free

@@ -50,7 +50,7 @@ let prop_online_above_opt =
   QCheck2.Test.make ~count:200 ~name:"online >= OPT"
     QCheck2.Gen.(pair gen_single (int_range 1 12))
     (fun (inst, lookahead) ->
-       Online.stall_time (Online.aggressive ~lookahead) inst >= Opt_single.stall_time inst)
+       Online.stall_time (Online.aggressive ~lookahead) inst >= (Opt.solve_single inst).Opt.stall)
 
 (* More lookahead on a pure scan is never (much) worse: exact monotonicity
    does not hold pointwise, but on scans the benefit is strict. *)
@@ -73,7 +73,7 @@ let prop_reverse_valid_above_opt =
            (Format.asprintf "%a" Instance.pp inst)
        | Ok s ->
          if Instance.length inst <= 10 && Instance.num_blocks inst <= 8 then
-           s.Simulate.stall_time >= Opt_parallel.solve_stall inst
+           s.Simulate.stall_time >= (Opt.solve_parallel inst).Opt.stall
          else true)
 
 let test_reverse_on_example2 () =
@@ -98,7 +98,7 @@ let prop_fixed_horizon_sound =
          QCheck2.Test.fail_reportf "rejected: %s on %s" e.Simulate.reason
            (Format.asprintf "%a" Instance.pp inst)
        | Ok s ->
-         s.Simulate.stall_time >= Opt_single.stall_time inst
+         s.Simulate.stall_time >= (Opt.solve_single inst).Opt.stall
          && s.Simulate.stall_time <= inst.Instance.fetch_time * List.length sched)
 
 (* On a pure scan with F <= k - 1, just-in-time fetching is stall-free

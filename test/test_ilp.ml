@@ -158,8 +158,8 @@ let prop_ilp_vs_opt =
        if not ilp.Sync_ilp.proved_optimal then true
        else begin
          let d = inst.Instance.num_disks in
-         let opt_k = Opt_parallel.solve_stall inst in
-         let opt_aug = Opt_parallel.solve_stall ~extra_slots:(d - 1) inst in
+         let opt_k = (Opt.solve_parallel inst).Opt.stall in
+         let opt_aug = (Opt.solve_parallel ~extra_slots:(d - 1) inst).Opt.stall in
          R.le ilp.Sync_ilp.stall (R.of_int opt_k)
          && R.ge ilp.Sync_ilp.stall (R.of_int opt_aug)
        end)

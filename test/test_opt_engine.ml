@@ -10,7 +10,7 @@
    through both. *)
 
 (* ------------------------------------------------------------------ *)
-(* Reference 1: greedy-content DP by memoized recursion (ex Opt_single). *)
+(* Reference 1: greedy-content DP by memoized recursion. *)
 
 let ref_opt_single (inst : Instance.t) : int =
   let n = Instance.length inst in
@@ -82,7 +82,7 @@ let ref_opt_single (inst : Instance.t) : int =
 
 (* ------------------------------------------------------------------ *)
 (* Reference 2: assumption-free eviction search by Set-PQ Dijkstra
-   (ex Opt_exhaustive). *)
+   (free-eviction mode). *)
 
 module Pq1 = Set.Make (struct
   type t = int * int * int
@@ -143,7 +143,7 @@ let ref_opt_exhaustive (inst : Instance.t) : int =
 
 (* ------------------------------------------------------------------ *)
 (* Reference 3: parallel timeline search by Set-PQ Dijkstra
-   (ex Opt_parallel). *)
+   (parallel engine). *)
 
 type flight = (int * int) option
 
@@ -268,9 +268,11 @@ let ref_opt_parallel ?(extra_slots = 0) (inst : Instance.t) : int =
 (* Corpus agreement: every fuzz-corpus case small enough for a reference
    solver must get the identical stall value from the engine. *)
 
-let solve_ok what = function
-  | Ok (o : Opt.outcome) -> o
-  | Error _ -> Alcotest.failf "%s: engine failed where the reference succeeds" what
+let solve_ok what solve =
+  match solve () with
+  | (o : Opt.outcome) -> o
+  | exception Opt.Solver_failure _ ->
+    Alcotest.failf "%s: engine failed where the reference succeeds" what
 
 let corpus_cases = 600
 
@@ -286,7 +288,7 @@ let test_corpus_agreement () =
        && blocks <= Ck_oracle.differential_single_blocks
     then begin
       incr singles;
-      let o = solve_ok case.Ck_gen.descr (Opt.solve_single inst) in
+      let o = solve_ok case.Ck_gen.descr (fun () -> Opt.solve_single inst) in
       let expect = ref_opt_single inst in
       if o.Opt.stall <> expect then
         Alcotest.failf "case %d (%s): engine DP stall %d, reference %d" index
@@ -304,7 +306,7 @@ let test_corpus_agreement () =
              Alcotest.failf "case %d (%s): witness stall %d <> claimed %d" index
                case.Ck_gen.descr realized o.Opt.stall));
       incr exhaustives;
-      let ox = solve_ok case.Ck_gen.descr (Opt.solve_single ~free_evict:true inst) in
+      let ox = solve_ok case.Ck_gen.descr (fun () -> Opt.solve_single ~free_evict:true inst) in
       let expect_x = ref_opt_exhaustive inst in
       if ox.Opt.stall <> expect_x then
         Alcotest.failf "case %d (%s): engine exhaustive stall %d, reference %d" index
@@ -312,13 +314,13 @@ let test_corpus_agreement () =
     end;
     if n <= 12 && blocks <= 8 && d <= 2 then begin
       incr parallels;
-      let o = solve_ok case.Ck_gen.descr (Opt.solve_parallel inst) in
+      let o = solve_ok case.Ck_gen.descr (fun () -> Opt.solve_parallel inst) in
       let expect = ref_opt_parallel inst in
       if o.Opt.stall <> expect then
         Alcotest.failf "case %d (%s): engine parallel stall %d, reference %d" index
           case.Ck_gen.descr o.Opt.stall expect;
       let extra = 2 * (d - 1) in
-      let oe = solve_ok case.Ck_gen.descr (Opt.solve_parallel ~extra_slots:extra inst) in
+      let oe = solve_ok case.Ck_gen.descr (fun () -> Opt.solve_parallel ~extra_slots:extra inst) in
       let expect_e = ref_opt_parallel ~extra_slots:extra inst in
       if oe.Opt.stall <> expect_e then
         Alcotest.failf "case %d (%s): engine parallel(+%d slots) stall %d, reference %d"
@@ -340,13 +342,14 @@ let cold_instance () =
 let test_budget_exhausted () =
   let inst = cold_instance () in
   (match Opt.solve_single ~node_budget:1 inst with
-   | Error (Opt.Budget_exhausted { budget; expanded }) ->
+   | exception Opt.Solver_failure { failure = Opt.Budget_exhausted { budget; expanded }; _ } ->
      Alcotest.(check int) "budget echoed" 1 budget;
      Alcotest.(check bool) "expanded counted" true (expanded >= 1)
-   | Ok _ -> Alcotest.fail "restricted search finished within 1 node"
-   | Error Opt.Infeasible -> Alcotest.fail "unexpected Infeasible");
+   | exception Opt.Solver_failure { failure = Opt.Infeasible; _ } ->
+     Alcotest.fail "unexpected Infeasible"
+   | _ -> Alcotest.fail "restricted search finished within 1 node");
   (match Opt.solve_single ~node_budget:1 ~free_evict:true inst with
-   | Error (Opt.Budget_exhausted _) -> ()
+   | exception Opt.Solver_failure { failure = Opt.Budget_exhausted _; _ } -> ()
    | _ -> Alcotest.fail "exhaustive search finished within 1 node");
   let pinst =
     Instance.parallel ~k:2 ~fetch_time:4 ~num_disks:2
@@ -354,18 +357,46 @@ let test_budget_exhausted () =
       [| 0; 1; 2; 3; 4; 5 |]
   in
   (match Opt.solve_parallel ~node_budget:1 pinst with
-   | Error (Opt.Budget_exhausted _) -> ()
+   | exception Opt.Solver_failure { failure = Opt.Budget_exhausted _; _ } -> ()
    | _ -> Alcotest.fail "parallel search finished within 1 node");
-  (* The legacy wrapper surfaces the failure as the typed exception. *)
-  Alcotest.(check bool) "wrapper raises Solver_failure" true
+  (* Unbudgeted, the same search succeeds. *)
+  Alcotest.(check bool) "unbudgeted parallel search succeeds" true
     (try
-       ignore (Opt_parallel.solve_stall pinst);
-       true (* unbudgeted: must succeed *)
+       ignore (Opt.solve_parallel pinst);
+       true
      with Opt.Solver_failure _ -> false)
+
+(* Past the engine's limits the instance itself is rejected, as a typed
+   input error: more than [Opt.max_blocks] distinct blocks on one disk,
+   and a parallel shape whose packed (cursor, cache, in-flight) state
+   would overflow an OCaml int. *)
+let test_limits_are_typed () =
+  let rejects what solve =
+    match solve () with
+    | exception Instance.Invalid _ -> ()
+    | exception e ->
+      Alcotest.failf "%s: raised %s, not Instance.Invalid" what (Printexc.to_string e)
+    | (_ : Opt.outcome) -> Alcotest.failf "%s: solved past the engine's limits" what
+  in
+  let wide =
+    Instance.single_disk ~k:4 ~fetch_time:2 ~initial_cache:[] (Array.init 70 (fun i -> i))
+  in
+  rejects "single disk, 70 blocks" (fun () -> Opt.solve_single wide);
+  rejects "single disk, 70 blocks, free eviction" (fun () ->
+      Opt.solve_single ~free_evict:true wide);
+  rejects "parallel search, 70 blocks" (fun () -> Opt.solve_parallel wide);
+  (* 62 blocks at F = 8 on 30 disks: (62 * 8 + 1)^30 in-flight codes. *)
+  let packed =
+    Workload.parallel_instance ~k:3 ~fetch_time:8 ~num_disks:30
+      ~layout:(fun ~num_blocks ~num_disks -> Workload.striped_layout ~num_blocks ~num_disks)
+      (Array.init 62 (fun i -> i))
+  in
+  rejects "packed state overflow" (fun () -> Opt.solve_parallel packed);
+  rejects "packed state overflow via Opt.solve" (fun () -> Opt.solve packed)
 
 let test_stats_sanity () =
   let inst = cold_instance () in
-  let o = solve_ok "stats" (Opt.solve_single inst) in
+  let o = solve_ok "stats" (fun () -> Opt.solve_single inst) in
   let s = o.Opt.stats in
   Alcotest.(check bool) "expanded positive" true (s.Opt.expanded > 0);
   Alcotest.(check bool) "counters non-negative" true
@@ -377,15 +408,14 @@ let test_stats_sanity () =
      Alcotest.(check bool) "improved iff beat incumbent" true
        (s.Opt.improved = (o.Opt.stall < ub)))
 
-(* More than 30 distinct blocks: the old Opt_parallel guard rejected
-   this; the engine accepts up to 62 and must agree with the single-disk
-   DP when D = 1. *)
+(* More than 30 distinct blocks: the parallel search accepts up to 62
+   and must agree with the single-disk DP when D = 1. *)
 let test_wide_mask_parallel () =
   let n = 32 in
   let seq = Array.init n (fun i -> i) in
   let inst = Instance.single_disk ~k:8 ~fetch_time:2 ~initial_cache:[ 0; 1; 2; 3; 4; 5; 6; 7 ] seq in
-  let o = solve_ok "wide mask" (Opt.solve_parallel inst) in
-  Alcotest.(check int) "agrees with single-disk DP" (Opt_single.stall_time inst) o.Opt.stall
+  let o = solve_ok "wide mask" (fun () -> Opt.solve_parallel inst) in
+  Alcotest.(check int) "agrees with single-disk DP" ((Opt.solve_single inst).Opt.stall) o.Opt.stall
 
 let test_ceilings_floor () =
   Alcotest.(check bool) "single ceiling >= 18" true
@@ -403,4 +433,5 @@ let () =
         [ Alcotest.test_case "budget exhaustion is typed" `Quick test_budget_exhausted;
           Alcotest.test_case "stats sanity" `Quick test_stats_sanity;
           Alcotest.test_case "wide-mask parallel (> 30 blocks)" `Quick test_wide_mask_parallel;
-          Alcotest.test_case "fuzz ceilings raised" `Quick test_ceilings_floor ] ) ]
+          Alcotest.test_case "fuzz ceilings raised" `Quick test_ceilings_floor;
+          Alcotest.test_case "limits raise Instance.Invalid" `Quick test_limits_are_typed ] ) ]

@@ -110,12 +110,12 @@ let prop_min_matches_conservative =
   QCheck2.Test.make ~count:200 ~name:"MIN misses = Conservative fetches" gen_paging_instance
     (fun i -> (Paging.min_offline i).Paging.misses = Conservative.num_fetches i)
 
-(* The heap-based MIN (Conservative's fast path) must reproduce the seed
-   fold-based MIN exactly - every replacement, every eviction, the final
-   cache - not just the miss count. *)
+(* The heap-based MIN (Conservative plans through it) must reproduce the
+   per-miss scan oracle exactly - every replacement, every eviction, the
+   final cache - not just the miss count. *)
 let prop_min_fast_identical =
-  QCheck2.Test.make ~count:400 ~name:"min_offline_fast = min_offline" gen_paging_instance
-    (fun i -> Paging.min_offline_fast i = Paging.min_offline i)
+  QCheck2.Test.make ~count:400 ~name:"min_offline = Ck_seed.min_scan" gen_paging_instance
+    (fun i -> Paging.min_offline i = Ck_seed.min_scan i)
 
 let test_clock_second_chance () =
   (* Hand-traced: k = 2, frames [0; 1], seq 0 1 2 1 3.

@@ -21,7 +21,7 @@ let test_improves_lazy_schedule () =
   let optimized = Peephole.optimize inst lazy_sched in
   let after = Option.get (stall inst optimized) in
   Alcotest.(check bool) (Printf.sprintf "improved (%d -> %d)" before after) true (after < before);
-  Alcotest.(check bool) "never beats OPT" true (after >= Opt_single.stall_time inst)
+  Alcotest.(check bool) "never beats OPT" true (after >= (Opt.solve_single inst).Opt.stall)
 
 let test_invalid_untouched () =
   let inst = example1 () in
@@ -54,7 +54,7 @@ let prop_sound =
        let optimized = Peephole.optimize inst sched in
        match stall inst optimized with
        | None -> QCheck2.Test.fail_reportf "optimizer produced invalid schedule"
-       | Some after -> after <= before && after >= Opt_single.stall_time inst)
+       | Some after -> after <= before && after >= (Opt.solve_single inst).Opt.stall)
 
 (* Lazified schedules: randomly delay the start of each operation in an
    algorithm's schedule.  Whenever the perturbed schedule is still valid,
@@ -87,10 +87,10 @@ let prop_lazified_monotone =
          match stall inst optimized with
          | None -> QCheck2.Test.fail_reportf "optimizer produced invalid schedule"
          | Some after ->
-           if after <= before && after >= Opt_single.stall_time inst then true
+           if after <= before && after >= (Opt.solve_single inst).Opt.stall then true
            else
              QCheck2.Test.fail_reportf "stall %d -> %d (opt %d)" before after
-               (Opt_single.stall_time inst)))
+               ((Opt.solve_single inst).Opt.stall)))
 
 (* Aggressive already starts fetches as early as possible: the peephole
    pass should essentially never improve it. *)

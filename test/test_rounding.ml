@@ -101,7 +101,7 @@ let test_emit_greedy_matches_opt () =
   let sched = Rounding.emit_greedy norm.Rounding.aug skeleton in
   match Simulate.run inst sched with
   | Error e -> Alcotest.failf "emit_greedy invalid: %s" e.Simulate.reason
-  | Ok s -> Alcotest.(check int) "matches OPT" (Opt_single.stall_time inst) s.Simulate.stall_time
+  | Ok s -> Alcotest.(check int) "matches OPT" ((Opt.solve_single inst).Opt.stall) s.Simulate.stall_time
 
 (* A stuck crossing pair is skipped, not retried: on this instance the
    redistribution LP of one nested pair has no solution, so crossing

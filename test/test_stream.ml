@@ -205,7 +205,7 @@ let prop_never_beats_opt =
   QCheck2.Test.make ~count:150 ~name:"no window beats the offline optimum"
     QCheck2.Gen.(pair (gen_instance ~max_n:16 ~max_blocks:6 ()) (int_range 1 16))
     (fun (inst, w) ->
-      let opt = (Opt_single.solve inst).Opt_single.stall in
+      let opt = (Opt.solve_single inst).Opt.stall in
       List.for_all
         (fun pname ->
           let build = Option.get (P.find pname) in
