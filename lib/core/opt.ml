@@ -47,6 +47,10 @@ let () =
 
 let fail solver failure = raise (Solver_failure { solver; failure })
 
+let check_blocks solver num_blocks =
+  if num_blocks > max_blocks then
+    Instance.invalidf "%s: %d blocks exceed the %d-block limit" solver num_blocks max_blocks
+
 type outcome = {
   stall : int;
   schedule : Fetch_op.schedule option;
@@ -323,9 +327,7 @@ let ws =
 let solve_single ?node_budget ?(free_evict = false) (inst : Instance.t) : outcome =
   let n = Instance.length inst in
   let num_blocks = Instance.num_blocks inst in
-  if num_blocks > max_blocks then
-    Instance.invalidf "Opt.solve_single: %d blocks exceed the %d-block limit" num_blocks
-      max_blocks;
+  check_blocks "Opt.solve_single" num_blocks;
   let seq = inst.Instance.seq in
   let k = inst.Instance.cache_size in
   let f = inst.Instance.fetch_time in
@@ -779,9 +781,7 @@ let solve_single ?node_budget ?(free_evict = false) (inst : Instance.t) : outcom
 let solve_parallel ?node_budget ?(extra_slots = 0) (inst : Instance.t) : outcome =
   let n = Instance.length inst in
   let num_blocks = Instance.num_blocks inst in
-  if num_blocks > max_blocks then
-    Instance.invalidf "Opt.solve_parallel: %d blocks exceed the %d-block limit" num_blocks
-      max_blocks;
+  check_blocks "Opt.solve_parallel" num_blocks;
   let seq = inst.Instance.seq in
   let k = inst.Instance.cache_size + extra_slots in
   let f = inst.Instance.fetch_time in
